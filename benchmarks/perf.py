@@ -1,7 +1,11 @@
-"""Performance baseline for the vectorized measurement fast lanes.
+"""Performance baseline for the vectorized measurement kernels.
 
-Times every scalar/fast lane pair at three scales and writes the
-results to ``BENCH_perf.json`` (schema below).  The committed baseline
+Times each production kernel (``fast_s``) against a slower comparison
+lane (``scalar_s``) at three scales and writes the results to
+``BENCH_perf.json`` (schema below).  For most kernels the comparison
+lane is the kernel's reference oracle from ``tests/lane_oracles.py``,
+swapped into the production entry point for the timed call; the module
+is loaded by file path and needs only numpy and ``repro``.  The committed baseline
 is produced by the full tier::
 
     PYTHONPATH=src python benchmarks/perf.py --tier full --out BENCH_perf.json
@@ -27,8 +31,8 @@ Schema (version 1)::
             {
               "scale": "small" | "medium" | "large",
               "params": {str: scalar},
-              "scalar_s": float > 0,  # best-of-N wall time, scalar lane
-              "fast_s": float > 0,    # best-of-N wall time, fast lane
+              "scalar_s": float > 0,  # best-of-N wall time, comparison lane
+              "fast_s": float > 0,    # best-of-N wall time, production
               "speedup": float > 0,   # scalar_s / fast_s
               "repeats": int >= 1
             }
@@ -41,6 +45,7 @@ Schema (version 1)::
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import platform
 import sys
@@ -108,6 +113,28 @@ _TOPOLOGY = TopologyConfig(
 )
 
 
+def _load_lane_oracles():
+    """``tests/lane_oracles.py``, loaded by path (tests/ is no package)."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "lane_oracles.py"
+    spec = importlib.util.spec_from_file_location("lane_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_reference = _load_lane_oracles().reference
+
+
+def _on_reference(name: str, fn):
+    """``fn`` wrapped to run with computation ``name`` on its oracle."""
+
+    def run():
+        with _reference(name):
+            return fn()
+
+    return run
+
+
 def _best_of(fn, repeats: int) -> float:
     """Minimum wall time over ``repeats`` calls (noise-robust)."""
     best = float("inf")
@@ -154,7 +181,7 @@ def bench_edgefabric_synthesize(internet, tier: str, repeats: int):
     sizes = {"small": 300, "medium": 2000, "large": 4000}
     # Warm congestion models shared by both lanes: event generation is
     # campaign state, not per-synthesis work, so it is excluded from the
-    # lane comparison (each lane re-reads the same caches).
+    # comparison (each lane re-reads the same caches).
     congestion = CongestionModel(config.seed, config.congestion_config())
     dest = CongestionModel(config.seed, config.dest_congestion_config())
     entries = []
@@ -163,29 +190,21 @@ def bench_edgefabric_synthesize(internet, tier: str, repeats: int):
         plan = MeasurementPlan(
             pairs=full_plan.pairs[:n], prefixes=full_plan.prefixes[:n]
         )
-        for lane in (False, True):  # warm caches for both lanes
+        def fast():
             synthesize_dataset(
-                plan, config, fast=lane, congestion=congestion, dest_congestion=dest
+                plan, config, congestion=congestion, dest_congestion=dest
             )
+
+        scalar = _on_reference("synthesize", fast)
+        scalar()  # warm caches for both lanes
+        fast()
         entries.append(
             _measure(
                 "edgefabric.synthesize",
                 scale,
                 {"pairs": n, "days": config.days},
-                lambda: synthesize_dataset(
-                    plan,
-                    config,
-                    fast=False,
-                    congestion=congestion,
-                    dest_congestion=dest,
-                ),
-                lambda: synthesize_dataset(
-                    plan,
-                    config,
-                    fast=True,
-                    congestion=congestion,
-                    dest_congestion=dest,
-                ),
+                scalar,
+                fast,
                 repeats,
             )
         )
@@ -214,8 +233,8 @@ def bench_edgefabric_episodes(internet, tier: str, repeats: int):
                 "edgefabric.episodes",
                 scale,
                 {"pairs": n, "windows": int(dataset.n_windows)},
-                lambda: extract_episodes(dataset, fast=False),
-                lambda: extract_episodes(dataset, fast=True),
+                _on_reference("episodes", lambda: extract_episodes(dataset)),
+                lambda: extract_episodes(dataset),
                 repeats,
             )
         )
@@ -252,10 +271,10 @@ def bench_event_delay(tier: str, repeats: int):
 
 
 def bench_bgp_propagate(tier: str, repeats: int):
-    """Gao-Rexford propagation: per-AS heap lane vs batched array lane.
+    """Gao-Rexford propagation: per-AS heap oracle vs batched array lane.
 
-    The PR-8 tentpole kernel: the fast lane runs the CSR frontier
-    sweep (``propagate_state``) and must clear 5x at medium scale.
+    Production runs the CSR frontier sweep (``propagate_state``), which
+    clears 5x at medium scale in the committed baseline.
     Each lane propagates the same deterministic origin sample over one
     pre-built graph; graph construction is setup, not subject
     (:func:`bench_topology_generate` times that), and the CSR cache is
@@ -269,20 +288,21 @@ def bench_bgp_propagate(tier: str, repeats: int):
         graph = build_internet(
             TopologyConfig(
                 seed=7, n_tier1=5, n_transit=n_transit, n_eyeball=n_eyeball
-            ),
-            fast=True,
+            )
         ).graph
         asns = graph.csr().arrays()["asns"]
         rng = np.random.default_rng(0)
         origins = sorted(int(a) for a in rng.choice(asns, size=4, replace=False))
-        propagate(graph, origins[0], fast=True)  # warm the CSR cache
+        propagate(graph, origins[0])  # warm the CSR cache
         entries.append(
             _measure(
                 "bgp.propagate",
                 scale,
                 {"ases": int(asns.size), "origins": len(origins)},
-                lambda: [propagate(graph, o, fast=False) for o in origins],
-                lambda: [propagate(graph, o, fast=True) for o in origins],
+                _on_reference(
+                    "propagate", lambda: [propagate(graph, o) for o in origins]
+                ),
+                lambda: [propagate(graph, o) for o in origins],
                 repeats,
             )
         )
@@ -290,7 +310,7 @@ def bench_bgp_propagate(tier: str, repeats: int):
 
 
 def bench_bgp_dynamics(tier: str, repeats: int):
-    """Event-driven convergence vs the static fast lane, same fixpoint.
+    """Event-driven convergence vs static propagation, same fixpoint.
 
     The scalar lane replays one announcement per sampled origin through
     the discrete-event engine — UPDATE deliveries, MRAI timers,
@@ -310,12 +330,11 @@ def bench_bgp_dynamics(tier: str, repeats: int):
         graph = build_internet(
             TopologyConfig(
                 seed=7, n_tier1=5, n_transit=n_transit, n_eyeball=n_eyeball
-            ),
-            fast=True,
+            )
         ).graph
         asns = [asys.asn for asys in graph.ases()]
         origins = asns[:: max(1, len(asns) // 8)][:8]
-        propagate(graph, origins[0], fast=True)  # warm the CSR cache
+        propagate(graph, origins[0])  # warm the CSR cache
 
         def scalar():
             total = 0
@@ -328,7 +347,7 @@ def bench_bgp_dynamics(tier: str, repeats: int):
 
         def fast():
             for origin in origins:
-                propagate(graph, origin, fast=True)
+                propagate(graph, origin)
 
         events = scalar()
         entries.append(
@@ -349,10 +368,10 @@ def bench_bgp_dynamics(tier: str, repeats: int):
 
 
 def bench_topology_generate(tier: str, repeats: int):
-    """Internet generation: scalar haversines vs the memoized fast lane.
+    """Internet generation: un-memoised oracle vs the memoized generator.
 
     Both lanes build the identical Internet (the lane-agreement tests
-    pin full-dump equality); the fast lane's win is the pair-distance
+    pin full-dump equality); production's win is the pair-distance
     cache plus per-region candidate-ranking memos, so the speedup grows
     with AS count — near break-even at the small scale is expected.
     """
@@ -368,8 +387,8 @@ def bench_topology_generate(tier: str, repeats: int):
                 "topology.generate",
                 scale,
                 {"n_transit": n_transit, "n_eyeball": n_eyeball},
+                _on_reference("topology", lambda: build_internet(config)),
                 lambda: build_internet(config),
-                lambda: build_internet(config, fast=True),
                 repeats,
             )
         )
@@ -387,19 +406,18 @@ def bench_cdn_redirection(internet, tier: str, repeats: int):
         prefixes, _ = assign_ldns(prefixes, internet, seed=11)
         dataset = run_beacon_campaign(deployment, prefixes, BeaconConfig(seed=3))
         # Train with ECS enabled for every resolver: the per-prefix
-        # decision loop is the part the fast lane batch-medians away.
+        # decision loop is the part production batch-medians away.
         resolvers = {p.ldns for p in dataset.prefixes if p.ldns}
         entries.append(
             _measure(
                 "cdn.train_redirection",
                 scale,
                 {"prefixes": n, "requests": int(dataset.n_requests)},
-                lambda: train_redirection_policy(
-                    dataset, ecs_resolvers=resolvers, fast=False
+                _on_reference(
+                    "redirection",
+                    lambda: train_redirection_policy(dataset, ecs_resolvers=resolvers),
                 ),
-                lambda: train_redirection_policy(
-                    dataset, ecs_resolvers=resolvers, fast=True
-                ),
+                lambda: train_redirection_policy(dataset, ecs_resolvers=resolvers),
                 repeats,
             )
         )
@@ -407,7 +425,7 @@ def bench_cdn_redirection(internet, tier: str, repeats: int):
 
 
 def bench_cloudtiers_campaign(internet, tier: str, repeats: int):
-    """End-to-end tier-comparison campaign (ping bursts vs per-round)."""
+    """End-to-end tier-comparison campaign (per-round oracle vs bursts)."""
     deployment = CloudDeployment(internet)
     sizes = {
         "small": (2, 20),
@@ -422,11 +440,10 @@ def bench_cloudtiers_campaign(internet, tier: str, repeats: int):
         # Each run needs a fresh platform: the campaign consumes the
         # platform's noise stream (that is what makes the lanes
         # bit-identical).  Construction cost is shared by both lanes.
-        def scalar():
-            run_campaign(SpeedcheckerPlatform(deployment, seed=4), cfg, fast=False)
-
         def fast():
-            run_campaign(SpeedcheckerPlatform(deployment, seed=4), cfg, fast=True)
+            run_campaign(SpeedcheckerPlatform(deployment, seed=4), cfg)
+
+        scalar = _on_reference("campaign", fast)
 
         entries.append(
             _measure(

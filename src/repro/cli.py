@@ -784,7 +784,7 @@ def cmd_scenario(args) -> None:
     from repro.core import cdn_topology
     from repro.topology import build_internet
 
-    internet = build_internet(cdn_topology(args.seed), fast=True)
+    internet = build_internet(cdn_topology(args.seed))
     config = DynamicsConfig(seed=args.seed, mrai_s=args.mrai_s)
     result = run_scenario(
         args.name, seed=args.seed, config=config, internet=internet

@@ -89,30 +89,46 @@ class TierDataset:
         return sum(len(r.median_ms) for r in self.records)
 
 
+def _round_medians(
+    platform: SpeedcheckerPlatform,
+    vp: VantagePoint,
+    tier: Tier,
+    round_times: np.ndarray,
+    cfg: CampaignConfig,
+) -> List[float]:
+    """One median RTT per ping round; empty when the VP has no route.
+
+    A single burst of ``cfg.pings_per_round`` pings per round covers
+    every round.  It consumes the same noise-stream positions as
+    per-round :meth:`ping` calls (the loop in ``tests/lane_oracles.py``),
+    so the medians match those calls sample for sample.
+    """
+    burst = platform.ping_burst(vp, tier, round_times, count=cfg.pings_per_round)
+    if burst is None:
+        return []
+    return list(np.median(burst, axis=1))
+
+
 @traced("cloudtiers.campaign")
 def run_campaign(
     platform: SpeedcheckerPlatform,
     config: Optional[CampaignConfig] = None,
-    fast: bool = True,
     streaming: bool = False,
 ) -> TierDataset:
     """Run the tier-comparison campaign through the platform API.
 
+    Each VP-day's pings to a tier go out as one
+    :meth:`~repro.cloudtiers.speedchecker.SpeedcheckerPlatform.ping_burst`
+    (see :func:`_round_medians`).
+
     Args:
-        fast: Issue each VP-day's pings as one
-            :meth:`~repro.cloudtiers.speedchecker.SpeedcheckerPlatform.ping_burst`
-            and aggregate medians with one array reduction (default).
-            ``fast=False`` issues per-round :meth:`ping` calls.  The
-            burst consumes the same noise-stream positions, so the two
-            lanes produce bit-identical datasets — which the agreement
-            tests assert.
         streaming: Aggregate each VP-day's per-round medians through a
             :class:`repro.stream.CentroidSketch` instead of a stored
-            list (composes with ``fast``; the per-round medians are the
-            measurement device and stay as they are).  A day has
-            ``rounds_per_day`` rounds — far below the centroid budget —
-            so the day medians match the batch aggregation to
-            interpolation precision, which the agreement tests assert.
+            list (the per-round medians are the measurement device and
+            stay as they are).  A day has ``rounds_per_day`` rounds —
+            far below the centroid budget — so the day medians match the
+            batch aggregation to interpolation precision, which the
+            agreement tests assert.
     """
     cfg = config or CampaignConfig()
     deployment = platform.deployment
@@ -154,19 +170,7 @@ def run_campaign(
                     tr = platform.traceroute(vp, tier, float(round_times[0]))
                     if tr is not None:
                         traceroutes[(vp.vp_id, tier)] = tr
-                if fast:
-                    burst = platform.ping_burst(
-                        vp, tier, round_times, count=cfg.pings_per_round
-                    )
-                    if burst is not None:
-                        medians[tier] = list(np.median(burst, axis=1))
-                else:
-                    for t in round_times:
-                        result = platform.ping(
-                            vp, tier, float(t), count=cfg.pings_per_round
-                        )
-                        if result is not None:
-                            medians[tier].append(result.median_ms)
+                medians[tier] = _round_medians(platform, vp, tier, round_times, cfg)
             if not medians[Tier.PREMIUM] or not medians[Tier.STANDARD]:
                 continue
             vps[vp.vp_id] = vp

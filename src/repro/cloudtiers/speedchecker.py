@@ -11,6 +11,7 @@ state, congestion processes, and measurement noise.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -231,7 +232,7 @@ class SpeedcheckerPlatform:
     def _vp_last_mile(self, vp: VantagePoint) -> float:
         if vp.vp_id not in self._last_mile:
             rng = np.random.default_rng(
-                [self.seed & 0xFFFFFFFF, hash(vp.vp_id) & 0xFFFFFFFF]
+                [self.seed & 0xFFFFFFFF, zlib.crc32(vp.vp_id.encode("utf-8"))]
             )
             self._last_mile[vp.vp_id] = float(rng.uniform(2.0, 12.0))
         return self._last_mile[vp.vp_id]
@@ -284,12 +285,12 @@ class SpeedcheckerPlatform:
     ) -> Optional[np.ndarray]:
         """Many ping rounds in one call: RTTs of shape ``(rounds, count)``.
 
-        The batched form of :meth:`ping` used by the campaign's fast
-        lane.  Credits for the whole burst are debited up front; the
-        noise draw consumes exactly the stream positions the equivalent
-        sequence of per-round :meth:`ping` calls would (one contiguous
-        block in round order), so every sample is bit-identical to the
-        scalar lane's.  Returns ``None`` if the VP has no route to the
+        The batched form of :meth:`ping` the campaign uses.  Credits for
+        the whole burst are debited up front; the noise draw consumes
+        exactly the stream positions the equivalent sequence of
+        per-round :meth:`ping` calls would (one contiguous block in
+        round order), so every sample is bit-identical to theirs.
+        Returns ``None`` if the VP has no route to the
         VM — credits are spent, and no noise is drawn, matching the
         per-round behaviour.
         """

@@ -12,7 +12,7 @@ episodes against improvement opportunities episode by episode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,42 +67,13 @@ class EpisodeStudyResult:
     threshold_ms: float
 
 
-def _runs(mask: np.ndarray, excess: np.ndarray, pair_index: int) -> List[Episode]:
-    episodes = []
-    start: Optional[int] = None
-    for w, active in enumerate(mask):
-        if active and start is None:
-            start = w
-        elif not active and start is not None:
-            episodes.append(
-                Episode(
-                    pair_index=pair_index,
-                    start=start,
-                    length=w - start,
-                    peak_ms=float(np.nanmax(excess[start:w])),
-                )
-            )
-            start = None
-    if start is not None:
-        episodes.append(
-            Episode(
-                pair_index=pair_index,
-                start=start,
-                length=mask.size - start,
-                peak_ms=float(np.nanmax(excess[start:])),
-            )
-        )
-    return episodes
-
-
 def _runs_batch(masks: np.ndarray, excess: np.ndarray) -> List[Episode]:
-    """All pairs' runs in one pass — the vectorized form of :func:`_runs`.
+    """All pairs' runs in one pass.
 
     Rows are flattened with a guard column of ``False`` between them so
     no run can straddle a row boundary; run starts/ends fall out of one
     ``diff`` over the flat mask, and per-run peaks out of one
-    ``maximum.reduceat``.  Episode order (row-major, then by start) and
-    every field are bit-identical to looping :func:`_runs` per row.
+    ``maximum.reduceat``.  Episodes come out row-major, then by start.
     """
     n_pairs, n_windows = masks.shape
     guard = np.zeros((n_pairs, 1), dtype=bool)
@@ -133,8 +104,76 @@ def _runs_batch(masks: np.ndarray, excess: np.ndarray) -> List[Episode]:
     ]
 
 
+#: ``(degradations, opportunities, total_windows, degraded_windows,
+#: opportunity_windows, escapes)`` — what :func:`_extract_runs` tallies.
+_RunTally = Tuple[List[Episode], List[Episode], int, int, int, int]
+
+
+def _extract_runs(
+    bgp: np.ndarray, best_alt: np.ndarray, threshold_ms: float
+) -> _RunTally:
+    """Episodes and window counts over every pair with >= 8 valid windows.
+
+    ``bgp`` and ``best_alt`` are (pairs × windows) median grids.  All
+    eligible pairs are scanned in one batch; episodes are numbered by
+    their row in ``bgp``.
+    """
+    valid = ~np.isnan(bgp)
+    eligible = valid.sum(axis=1) >= 8
+    if not eligible.any():
+        return [], [], 0, 0, 0, 0
+    sub = np.flatnonzero(eligible)
+    series = bgp[sub]
+    sub_valid = valid[sub]
+    with np.errstate(invalid="ignore", all="ignore"):
+        baseline = np.nanmedian(series, axis=1)
+    excess = series - baseline[:, None]
+    degraded = sub_valid & (excess > threshold_ms)
+    improvement = series - best_alt[sub]
+    opportunity = (
+        sub_valid & ~np.isnan(best_alt[sub]) & (improvement > threshold_ms)
+    )
+    remap = {local: int(orig) for local, orig in enumerate(sub)}
+
+    def renumber(eps: List[Episode]) -> List[Episode]:
+        return [
+            Episode(
+                pair_index=remap[e.pair_index],
+                start=e.start,
+                length=e.length,
+                peak_ms=e.peak_ms,
+            )
+            for e in eps
+        ]
+
+    degradations = renumber(_runs_batch(degraded, excess))
+    opportunities = renumber(_runs_batch(opportunity, improvement))
+    # Escape test per degradation episode: fraction of its windows
+    # offering an alternate-route improvement, via one cumsum.
+    guard = np.zeros((opportunity.shape[0], 1), dtype=bool)
+    flat_opp = np.concatenate([opportunity, guard], axis=1).ravel()
+    cum = np.concatenate([[0], np.cumsum(flat_opp)])
+    width = opportunity.shape[1] + 1
+    inverse = {orig: local for local, orig in remap.items()}
+    escapes = 0
+    for episode in degradations:
+        row = inverse[episode.pair_index]
+        lo = row * width + episode.start
+        hi = lo + episode.length
+        if (cum[hi] - cum[lo]) / episode.length >= 0.5:
+            escapes += 1
+    return (
+        degradations,
+        opportunities,
+        int(sub_valid.sum()),
+        int(degraded.sum()),
+        int(opportunity.sum()),
+        escapes,
+    )
+
+
 def extract_episodes(
-    dataset: EgressDataset, threshold_ms: float = 5.0, fast: bool = True
+    dataset: EgressDataset, threshold_ms: float = 5.0
 ) -> EpisodeStudyResult:
     """Extract degradation and opportunity episodes from a dataset.
 
@@ -145,10 +184,6 @@ def extract_episodes(
     Args:
         dataset: The windowed measurement dataset.
         threshold_ms: Excess threshold defining an episode.
-        fast: Use the vectorized run extraction (default); ``fast=False``
-            runs the original per-pair scan.  Outputs are bit-identical
-            — episode extraction is deterministic — which the agreement
-            tests assert.
     """
     if threshold_ms <= 0:
         raise AnalysisError("threshold must be positive")
@@ -160,82 +195,14 @@ def extract_episodes(
     bgp = dataset.medians[:, :, 0]
     with np.errstate(invalid="ignore", all="ignore"):
         best_alt = np.nanmin(dataset.medians[:, :, 1:], axis=2)
-
-    degradations: List[Episode] = []
-    opportunities: List[Episode] = []
-    degraded_windows = 0
-    opportunity_windows = 0
-    total_windows = 0
-    escapes = 0
-    if fast:
-        valid = ~np.isnan(bgp)
-        eligible = valid.sum(axis=1) >= 8
-        if eligible.any():
-            sub = np.flatnonzero(eligible)
-            series = bgp[sub]
-            sub_valid = valid[sub]
-            with np.errstate(invalid="ignore", all="ignore"):
-                baseline = np.nanmedian(series, axis=1)
-            excess = series - baseline[:, None]
-            degraded = sub_valid & (excess > threshold_ms)
-            improvement = series - best_alt[sub]
-            opportunity = (
-                sub_valid
-                & ~np.isnan(best_alt[sub])
-                & (improvement > threshold_ms)
-            )
-            total_windows = int(sub_valid.sum())
-            degraded_windows = int(degraded.sum())
-            opportunity_windows = int(opportunity.sum())
-            remap = {local: int(orig) for local, orig in enumerate(sub)}
-
-            def renumber(eps: List[Episode]) -> List[Episode]:
-                return [
-                    Episode(
-                        pair_index=remap[e.pair_index],
-                        start=e.start,
-                        length=e.length,
-                        peak_ms=e.peak_ms,
-                    )
-                    for e in eps
-                ]
-
-            degradations = renumber(_runs_batch(degraded, excess))
-            opportunities = renumber(_runs_batch(opportunity, improvement))
-            # Escape test per degradation episode: fraction of its windows
-            # offering an alternate-route improvement, via one cumsum.
-            guard = np.zeros((opportunity.shape[0], 1), dtype=bool)
-            flat_opp = np.concatenate([opportunity, guard], axis=1).ravel()
-            cum = np.concatenate([[0], np.cumsum(flat_opp)])
-            width = opportunity.shape[1] + 1
-            inverse = {orig: local for local, orig in remap.items()}
-            for episode in degradations:
-                row = inverse[episode.pair_index]
-                lo = row * width + episode.start
-                hi = lo + episode.length
-                if (cum[hi] - cum[lo]) / episode.length >= 0.5:
-                    escapes += 1
-    else:
-        for i in range(dataset.n_pairs):
-            series = bgp[i]
-            valid = ~np.isnan(series)
-            if valid.sum() < 8:
-                continue
-            baseline = float(np.nanmedian(series))
-            excess = series - baseline
-            degraded = valid & (excess > threshold_ms)
-            improvement = series - best_alt[i]
-            opportunity = valid & ~np.isnan(best_alt[i]) & (improvement > threshold_ms)
-            total_windows += int(valid.sum())
-            degraded_windows += int(degraded.sum())
-            opportunity_windows += int(opportunity.sum())
-            pair_degradations = _runs(degraded, excess, i)
-            degradations.extend(pair_degradations)
-            opportunities.extend(_runs(opportunity, improvement, i))
-            for episode in pair_degradations:
-                window = slice(episode.start, episode.start + episode.length)
-                if opportunity[window].mean() >= 0.5:
-                    escapes += 1
+    (
+        degradations,
+        opportunities,
+        total_windows,
+        degraded_windows,
+        opportunity_windows,
+        escapes,
+    ) = _extract_runs(bgp, best_alt, threshold_ms)
     if total_windows == 0:
         raise AnalysisError("no pair has enough valid windows")
 

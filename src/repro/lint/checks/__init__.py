@@ -15,7 +15,7 @@ from typing import List
 
 from repro.lint.checks.crashcalls import CrashCallRule
 from repro.lint.checks.exceptions import SwallowedExceptionRule
-from repro.lint.checks.laneparity import LaneParityRule, StreamingLaneRule
+from repro.lint.checks.laneparity import LaneParityRule
 from repro.lint.checks.lanesignature import LaneSignatureRule
 from repro.lint.checks.rng import FreshGeneratorRule, LegacyRandomRule
 from repro.lint.checks.seedtaint import SeedTaintRule
@@ -34,7 +34,6 @@ ALL_RULE_CLASSES = (
     FreshGeneratorRule,
     WallClockRule,
     LaneParityRule,
-    StreamingLaneRule,
     LaneSignatureRule,
     CrashCallRule,
     SwallowedExceptionRule,
@@ -60,7 +59,6 @@ __all__ = [
     "SeedTaintRule",
     "ShmDisciplineRule",
     "SpanNameRule",
-    "StreamingLaneRule",
     "SwallowedExceptionRule",
     "WallClockRule",
     "WorkerPurityRule",

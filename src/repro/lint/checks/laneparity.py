@@ -1,17 +1,17 @@
-"""LANE001/LANE002 — every public lane entry point has a parity test.
+"""LANE002 — every public streaming lane entry point has a parity test.
 
-The vectorized fast lanes (PR 3) are only trustworthy because each one
-ships with a scalar reference lane and a test pinning their agreement
-— bit-identical or within a documented tolerance.  LANE001 closes the
-loop structurally: any public function exposing a ``fast=`` parameter
-must be referenced by name in the lane-agreement suite, so a new fast
-lane cannot merge without its parity contract.
+The streaming measurement plane (:mod:`repro.stream`) adds
+sketch-backed lanes whose medians are *estimates* of the batch lane's.
+They are only trustworthy because each one ships with a test bounding
+that error against the batch lane.  LANE002 closes the loop
+structurally: any public function exposing a ``streaming=`` parameter
+must be referenced by name in the lane-agreement suite, so a new
+streaming lane cannot merge without its parity contract.
 
-LANE002 extends the same discipline to the streaming measurement plane
-(:mod:`repro.stream`): any public function exposing a ``streaming=``
-parameter — a sketch-backed lane whose medians are *estimates* — must
-also be referenced from the lane-agreement suite, which bounds the
-sketch-vs-exact error.
+The retired LANE001 applied the same check to ``fast=`` parameters.
+Every computation now has one production path, with its reference
+implementation kept as a test oracle, so no public function selects a
+lane with ``fast=`` any more.  Rule ids are never reused.
 
 The check is a cross-tree one: ``check_file`` collects lane
 definitions from library modules, ``finish`` scans the test file
@@ -37,20 +37,20 @@ _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class LaneParityRule(Rule):
-    """LANE001: public ``fast=`` functions need a lane-agreement test."""
+    """LANE002: public ``streaming=`` lanes need a lane-agreement test."""
 
-    rule_id = "LANE001"
-    name = "lane-parity"
+    rule_id = "LANE002"
+    name = "streaming-lane-parity"
     description = (
-        "every public function with a fast= parameter must be referenced "
-        "in the lane-agreement test suite"
+        "every public function with a streaming= parameter must be "
+        "referenced in the lane-agreement test suite"
     )
     #: The lane-selecting parameter this rule polices.
-    lane_param = "fast"
+    lane_param = "streaming"
     #: What the missing test should pin down (used in the message).
     remedy = (
-        "add a lane-agreement test pinning fast=True against the scalar "
-        "reference lane"
+        "add a lane-agreement test bounding the sketch-backed "
+        "streaming=True output against the batch lane"
     )
 
     def __init__(self) -> None:
@@ -92,19 +92,3 @@ class LaneParityRule(Rule):
         for name, finding in self._pending:
             if name not in referenced:
                 yield finding
-
-
-class StreamingLaneRule(LaneParityRule):
-    """LANE002: public ``streaming=`` lanes need a lane-agreement test."""
-
-    rule_id = "LANE002"
-    name = "streaming-lane-parity"
-    description = (
-        "every public function with a streaming= parameter must be "
-        "referenced in the lane-agreement test suite"
-    )
-    lane_param = "streaming"
-    remedy = (
-        "add a lane-agreement test bounding the sketch-backed "
-        "streaming=True output against a batch lane"
-    )

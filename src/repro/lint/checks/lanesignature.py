@@ -1,8 +1,8 @@
 """PAR001 — lane pairs keep their signatures in agreement.
 
-LANE001/LANE002 guarantee each ``fast=``/``streaming=`` lane *exists*
-and is *exercised* by the parity test.  Neither stops the signatures
-from drifting apart: a fast lane that renames a parameter, or slips a
+LANE002 guarantees each ``streaming=`` lane *exists* and is
+*exercised* by the parity test.  It does not stop the signatures
+from drifting apart: a lane that renames a parameter, or slips a
 new one in front of the shared ones, still imports, still passes its
 own tests — and the dispatcher, which forwards one argument tuple to
 whichever lane is selected, starts binding values to the wrong names.
@@ -11,7 +11,10 @@ drift happens to be value-compatible.
 
 PAR001 works on the symbol table: module-level functions matching
 ``<stem>_scalar`` / ``<stem>_fast`` / ``<stem>_streaming`` (leading
-underscore or not) form a *lane group*.  The first lane present in
+underscore or not) form a *lane group*.  Groups are keyed per module,
+so a reference oracle such as ``tests/lane_oracles.py``'s
+``_synthesize_scalar`` never joins a library module's group.  The
+first lane present in
 scalar → fast → streaming order is the reference; every other lane
 must satisfy two properties against it:
 
@@ -85,8 +88,8 @@ class LaneSignatureRule(GraphRule):
     rule_id = "PAR001"
     name = "lane-signature"
     description = (
-        "fast=/streaming= lane pairs must keep parameter lists in "
-        "sync: shared parameters in the same order, lane-specific "
+        "lane pairs (<stem>_scalar/_fast/_streaming) must keep "
+        "parameter lists in sync: shared parameters in the same order, lane-specific "
         "extras only at the tail"
     )
 

@@ -12,7 +12,9 @@ explicitly threaded seed.  Two rules guard that:
   entropy, and a literal-constant seed buried in a function that
   exposes no ``seed``/``rng`` parameter pins callers to one stream
   they cannot vary.  Library call paths must accept the generator or
-  the seed from above.
+  the seed from above.  A builtin ``hash(...)`` anywhere in the seed
+  is flagged too: string hashes are salted per process
+  (``PYTHONHASHSEED``), so the stream would differ from run to run.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ class FreshGeneratorRule(Rule):
     description = (
         "default_rng() without a seed draws OS entropy and breaks "
         "reproducibility; a literal seed inside a function with no "
-        "seed/rng parameter hides the stream from callers"
+        "seed/rng parameter hides the stream from callers; a builtin "
+        "hash() in the seed is salted per process"
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:
@@ -125,6 +128,17 @@ class FreshGeneratorRule(Rule):
                     "an explicit seed or Generator parameter",
                 )
                 continue
+            salted = _builtin_hash_call(call, ctx)
+            if salted is not None:
+                yield ctx.finding(
+                    self,
+                    salted,
+                    "builtin hash() in a default_rng seed is salted per "
+                    "process (PYTHONHASHSEED), so the stream changes from "
+                    "run to run; derive the seed from a stable digest such "
+                    "as zlib.crc32(key.encode('utf-8'))",
+                )
+                continue
             seed_arg: Optional[ast.expr] = call.args[0] if call.args else None
             if not isinstance(seed_arg, ast.Constant):
                 continue
@@ -139,6 +153,21 @@ class FreshGeneratorRule(Rule):
                 "config) so campaigns can vary it",
                 severity=WARNING,
             )
+
+
+def _builtin_hash_call(call: ast.Call, ctx: FileContext) -> Optional[ast.Call]:
+    """The first builtin ``hash(...)`` call inside ``call``'s arguments."""
+    if "hash" in ctx.imports.aliases:
+        return None  # an imported ``hash`` is not the salted builtin
+    for arg in [*call.args, *(kw.value for kw in call.keywords)]:
+        for node in ast.walk(arg):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "hash"
+            ):
+                return node
+    return None
 
 
 def _calls_with_enclosing_function(

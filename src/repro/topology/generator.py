@@ -18,7 +18,17 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -441,13 +451,13 @@ def _scalar_km(a: City, b: City) -> float:
 
 
 class _CityDistanceCache:
-    """Memoized city-pair distances for the generator's fast lane.
+    """Memoized city-pair distances for one generator build.
 
     The generator asks for the same pair many times (every transit in a
     region re-ranks the same regional city list; every eyeball re-ranks
     the same transit footprints).  The cache calls the *same* scalar
     :func:`great_circle_km` exactly once per unique unordered pair, so
-    every returned value is bit-identical to the scalar lane by
+    every returned value is bit-identical to :func:`_scalar_km` by
     construction — no vectorized trig, whose last-ulp differences would
     flip distance-sorted tie-breaks.
     """
@@ -478,6 +488,37 @@ class _CityDistanceCache:
 
 #: City-pair distance function threaded through the generator helpers.
 DistanceFn = Callable[[City, City], float]
+
+_T = TypeVar("_T")
+
+
+class _BuildMemo:
+    """The per-build memo tables and city-distance cache of the generator.
+
+    The construction re-ranks the same small city universe thousands of
+    times.  Every memoised quantity is a pure function of its key within
+    one build, so memoising changes the speed of a build and nothing
+    else.  Each :func:`build_internet` call gets a fresh instance.
+    """
+
+    __slots__ = ("km", "_tables")
+
+    def __init__(self) -> None:
+        self.km: DistanceFn = _CityDistanceCache()
+        self._tables: Dict[str, Dict[Hashable, Any]] = {}
+
+    def get(self, table: str, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """``compute()`` for ``key`` in ``table``, run once per build."""
+        cache = self._tables.setdefault(table, {})
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
+
+
+#: The memo factory every build uses.  ``tests/lane_oracles.py`` swaps
+#: it for a pass-through that memoises nothing, to pin the memoised
+#: output against the un-memoised construction.
+_build_memo: Callable[[], _BuildMemo] = _BuildMemo
 
 
 def _nearest_pop_cities(
@@ -510,20 +551,23 @@ def _nearest_mesh(
 
 @traced("topology.build")
 def build_internet(
-    config: Optional[TopologyConfig] = None, fast: bool = False
+    config: Optional[TopologyConfig] = None, *, fast: bool = True
 ) -> Internet:
     """Build a synthetic Internet from ``config`` (defaults when omitted).
 
-    The result is deterministic for a given configuration.  ``fast=True``
-    memoizes city-pair distances and per-region intermediate lists (the
-    construction re-ranks the same small city universe thousands of
-    times); the output is bit-identical to the scalar lane — pinned in
-    ``tests/test_lane_agreement.py``.
+    The result is deterministic for a given configuration.  City-pair
+    distances and per-region intermediate lists are memoised per build
+    (see :class:`_BuildMemo`); the output is bit-identical to the
+    un-memoised construction — pinned in ``tests/test_lane_agreement.py``.
+
+    ``fast`` is accepted and ignored: the memoised construction is the
+    only one.  It remains for callers that still pass it.
     """
     cfg = config or TopologyConfig()
     rng = np.random.default_rng(cfg.seed)
     graph = ASGraph()
-    km: DistanceFn = _CityDistanceCache() if fast else _scalar_km
+    memo = _build_memo()
+    km = memo.km
 
     pop_cities = [
         PointOfPresence(code, city_named(name)) for code, name in cfg.pop_cities
@@ -597,11 +641,6 @@ def build_internet(
     transit_regions: Dict[int, Region] = {}
     region_cycle = [all_regions[i % len(all_regions)] for i in range(cfg.n_transit)]
     region_seen: Dict[Region, int] = {}
-    # Fast-lane memos: these are pure functions of (region) / (region,
-    # home) recomputed once per transit in the scalar lane.
-    homes_memo: Dict[Region, List[City]] = {}
-    ranked_memo: Dict[Tuple[Region, str], List[City]] = {}
-    hubs_memo: Dict[Tuple[Region, str], List[City]] = {}
     for i in range(cfg.n_transit):
         asn = TRANSIT_ASN_BASE + i
         region = region_cycle[i]
@@ -616,31 +655,26 @@ def build_internet(
         # would stack all of Asia's transits in its northeast).
         nth = region_seen.get(region, 0)
         region_seen[region] = nth + 1
-        if fast:
-            homes = homes_memo.get(region)
-            if homes is None:
-                homes = homes_memo[region] = _spread_homes(candidates, km=km)
-        else:
-            homes = _spread_homes(candidates, km=km)
+        # The memoised lists are pure functions of (region) and
+        # (region, home).
+        homes = memo.get("homes", region, lambda: _spread_homes(candidates, km=km))
         home = homes[nth % len(homes)]
         take = min(len(candidates), int(rng.integers(3, 7)))
         memo_key = (region, home.name)
-        by_distance = ranked_memo.get(memo_key) if fast else None
-        if by_distance is None:
-            by_distance = sorted(
-                candidates, key=lambda c: (km(home, c), c.name)
-            )
-            if fast:
-                ranked_memo[memo_key] = by_distance
+        by_distance = memo.get(
+            "ranked",
+            memo_key,
+            lambda: sorted(candidates, key=lambda c: (km(home, c), c.name)),
+        )
         sampled = by_distance[:take]
-        nearest_hubs = hubs_memo.get(memo_key) if fast else None
-        if nearest_hubs is None:
-            regional_hubs = [c for c in candidates if c in ixp_set]
-            nearest_hubs = sorted(
-                regional_hubs, key=lambda c: (km(home, c), c.name)
-            )[:2]
-            if fast:
-                hubs_memo[memo_key] = nearest_hubs
+        nearest_hubs = memo.get(
+            "hubs",
+            memo_key,
+            lambda: sorted(
+                (c for c in candidates if c in ixp_set),
+                key=lambda c: (km(home, c), c.name),
+            )[:2],
+        )
         footprint = tuple(dict.fromkeys([home] + sampled + nearest_hubs))
         graph.add_as(
             AutonomousSystem(
@@ -708,11 +742,6 @@ def build_internet(
     }
     eyeball_asns: List[int] = []
     asn = EYEBALL_ASN_BASE
-    # Fast-lane memo: nearest regional transits per home city.  Transit
-    # footprints are fixed by now (the tier1-transit re-wire below only
-    # touches tier1 links), and eyeballs in one country share home
-    # cities, so the ranking is pure in the home city.
-    transit_rank_memo: Dict[int, List[int]] = {}
     for country in countries:
         cities = [c for c in WORLD_CITIES if c.country == country]
         for j in range(alloc[country]):
@@ -740,17 +769,18 @@ def build_internet(
             region = eyeball.cities[0].region
             # Buy transit from 1-3 of the *nearest* transits in the same
             # region (regions are continent-sized; proximity matters).
+            # Memoised per home city: transit footprints are fixed by
+            # now (the tier1-transit re-wire below only touches tier1
+            # links), and eyeballs in one country share home cities.
             home = eyeball.home_city
-            regional = transit_rank_memo.get(id(home)) if fast else None
-            if regional is None:
-                regional = sorted(
+            regional = memo.get(
+                "transit_rank",
+                id(home),
+                lambda: sorted(
                     (t for t in transit_asns if transit_regions[t] is region),
-                    key=lambda t: min(
-                        km(home, c) for c in graph.get(t).cities
-                    ),
-                )[:3]
-                if fast:
-                    transit_rank_memo[id(home)] = regional
+                    key=lambda t: min(km(home, c) for c in graph.get(t).cities),
+                )[:3],
+            )
             if regional:
                 n_up = int(rng.integers(1, min(3, len(regional)) + 1))
                 ups = rng.choice(len(regional), size=n_up, replace=False)
@@ -845,20 +875,19 @@ def build_internet(
         eyeball_asns, key=lambda a: graph.get(a).user_weight, reverse=True
     )
     n_pni = int(round(cfg.pni_fraction * len(by_weight)))
-    # Fast-lane memo: nearest PoP per eyeball city (eyeball footprints
-    # overlap heavily within a country).
-    nearest_pop_memo: Dict[int, List[City]] = {}
     for eb in by_weight[:n_pni]:
         # PNIs at the PoP nearest each of the eyeball's cities: big
         # eyeballs interconnect with big providers in every metro they
         # share, not just at their headquarters.
         sites: List[City] = []
         for eb_city in graph.get(eb).cities:
-            nearest = nearest_pop_memo.get(id(eb_city)) if fast else None
-            if nearest is None:
-                nearest = _nearest_pop_cities(eb_city, pop_city_set, k=1, km=km)
-                if fast:
-                    nearest_pop_memo[id(eb_city)] = nearest
+            # Memoised per city: eyeball footprints overlap heavily
+            # within a country.
+            nearest = memo.get(
+                "nearest_pop",
+                id(eb_city),
+                lambda: _nearest_pop_cities(eb_city, pop_city_set, k=1, km=km),
+            )
             if nearest and nearest[0] not in sites:
                 sites.append(nearest[0])
         graph.add_link(

@@ -12,6 +12,7 @@ from repro.geo import city_named
 from repro.bgp import RoutePref, propagate
 
 from conftest import E1, E2, PROVIDER, T1A, T1B, TR1, TR2
+from lane_oracles import reference
 
 
 class TestBasicPropagation:
@@ -274,9 +275,12 @@ class TestGroomingValidation:
             propagate(toy_graph, PROVIDER, suppressed=frozenset({E2}))
 
     def test_both_lanes_reject_identically(self, toy_graph):
-        for lane in (False, True):
-            with pytest.raises(RoutingError):
-                propagate(toy_graph, PROVIDER, prepends={99999: 1}, fast=lane)
+        """Production and the reference oracle validate before either
+        constructs anything."""
+        with pytest.raises(RoutingError):
+            propagate(toy_graph, PROVIDER, prepends={99999: 1})
+        with reference("propagate"), pytest.raises(RoutingError):
+            propagate(toy_graph, PROVIDER, prepends={99999: 1})
 
     def test_valid_grooming_still_accepted(self, toy_graph):
         table = propagate(toy_graph, PROVIDER, prepends={T1A: 2})

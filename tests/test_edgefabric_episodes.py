@@ -9,8 +9,9 @@ from repro.edgefabric import (
     extract_episodes,
     run_measurement,
 )
-from repro.edgefabric.episodes import _runs
+from repro.edgefabric.episodes import _runs_batch
 from repro.workloads import generate_client_prefixes
+from lane_oracles import _runs as _runs_reference
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +20,19 @@ def dataset(small_internet):
     return run_measurement(
         small_internet, prefixes, MeasurementConfig(days=1.0, seed=3)
     )
+
+
+def _runs(mask, excess, pair_index):
+    """One pair's runs through the batch extractor, placed at row
+    ``pair_index`` of an otherwise inactive grid; checked against the
+    per-pair reference scan."""
+    masks = np.zeros((pair_index + 1, mask.size), dtype=bool)
+    masks[pair_index] = mask
+    excesses = np.zeros(masks.shape)
+    excesses[pair_index] = excess
+    runs = _runs_batch(masks, excesses)
+    assert runs == _runs_reference(mask, excess, pair_index)
+    return runs
 
 
 class TestRuns:

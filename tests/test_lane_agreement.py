@@ -1,22 +1,29 @@
-"""Scalar-vs-vectorized lane agreement across the measurement pipelines.
+"""Production kernels against their reference oracles and sibling lanes.
 
-Every fast lane ships with an escape hatch (``fast=False``) running the
-original scalar code; these tests pin down the agreement contract of
+Each computation has one production path; the reference implementation
+of its kernel lives in ``tests/lane_oracles.py``.  These tests run the
+public entry point once on production and once with the oracle swapped
+in (:func:`lane_oracles.reference`), and pin the agreement contract of
 each pair:
 
 * **Bit-identical** where the computation is deterministic or consumes
-  the same RNG stream positions: episode extraction, CDN redirection
-  training, the cloudtiers campaign, edgefabric CI half-widths.
-* **Documented tolerance** where the fast lane reorders floating-point
+  the same RNG stream positions: propagation, topology generation,
+  episode extraction, CDN redirection training, the cloudtiers
+  campaign, edgefabric CI half-widths.
+* **Documented tolerance** where production reorders floating-point
   work (catchment distances: numpy vs ``math`` trig round-off) or
   batches RNG draws (edgefabric medians: same noise distribution,
   different draw order — statistics agree, individual samples do not).
+
+The ``streaming=True`` lanes are production lanes of their own and are
+checked against the batch lane the same way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from lane_oracles import ORACLES, reference
 
 from repro.bgp import propagate, propagate_many
 from repro.cdn import CdnDeployment
@@ -43,6 +50,31 @@ from repro.edgefabric.sampler import (
 SEEDS = (0, 1, 2)
 
 
+class TestOracleSwap:
+    def test_oracles_are_drop_ins(self):
+        """Every oracle takes its production kernel's parameters, so
+        swapping it in cannot bind arguments crosswise."""
+        import inspect
+
+        for name, (module, attr, oracle) in ORACLES.items():
+            production = getattr(module, attr)
+            assert list(inspect.signature(oracle).parameters) == list(
+                inspect.signature(production).parameters
+            ), name
+
+    def test_reference_swaps_and_restores(self):
+        """Inside the block the entry point runs the oracle; on exit,
+        also after an exception, production is back in place."""
+        module, attr, oracle = ORACLES["propagate"]
+        production = getattr(module, attr)
+        with reference("propagate"):
+            assert getattr(module, attr) is oracle
+        assert getattr(module, attr) is production
+        with pytest.raises(RuntimeError), reference("propagate", "topology"):
+            raise RuntimeError
+        assert getattr(module, attr) is production
+
+
 @pytest.fixture(scope="module")
 def egress_plan(small_internet, small_prefixes):
     config = MeasurementConfig(days=2.0)
@@ -54,17 +86,14 @@ class TestEdgefabricLanes:
     def test_fig1_statistics_agree(self, egress_plan, seed):
         """Fig-1 fractions agree between lanes at the statistic level.
 
-        The fast lane batches its noise draws, so individual medians
+        Production batches its noise draws, so individual medians
         differ; the Figure 1 statistics — fractions over ~10k weighted
         pair-windows — must agree within sampling noise.
         """
         config = MeasurementConfig(days=2.0, seed=seed)
-        slow = bgp_vs_best_alternate(
-            synthesize_dataset(egress_plan, config, fast=False)
-        )
-        fast = bgp_vs_best_alternate(
-            synthesize_dataset(egress_plan, config, fast=True)
-        )
+        with reference("synthesize"):
+            slow = bgp_vs_best_alternate(synthesize_dataset(egress_plan, config))
+        fast = bgp_vs_best_alternate(synthesize_dataset(egress_plan, config))
         assert fast.frac_alternate_better_5ms == pytest.approx(
             slow.frac_alternate_better_5ms, abs=0.05
         )
@@ -83,8 +112,9 @@ class TestEdgefabricLanes:
         not on noise draws.
         """
         config = MeasurementConfig(days=2.0, seed=0)
-        slow = synthesize_dataset(egress_plan, config, fast=False)
-        fast = synthesize_dataset(egress_plan, config, fast=True)
+        with reference("synthesize"):
+            slow = synthesize_dataset(egress_plan, config)
+        fast = synthesize_dataset(egress_plan, config)
         assert np.array_equal(np.isnan(slow.medians), np.isnan(fast.medians))
         assert np.array_equal(slow.ci_half, fast.ci_half, equal_nan=True)
         assert np.array_equal(slow.volumes, fast.volumes)
@@ -92,9 +122,9 @@ class TestEdgefabricLanes:
     def test_episode_extraction_bit_identical(self, egress_plan):
         config = MeasurementConfig(days=2.0, seed=1)
         dataset = synthesize_dataset(egress_plan, config)
-        assert extract_episodes(dataset, fast=True) == extract_episodes(
-            dataset, fast=False
-        )
+        with reference("episodes"):
+            scalar = extract_episodes(dataset)
+        assert extract_episodes(dataset) == scalar
 
     def test_run_measurement_composes_both_lanes(
         self, small_internet, small_prefixes
@@ -103,17 +133,14 @@ class TestEdgefabricLanes:
 
         ``run_measurement`` is plan + synthesis; the deterministic parts
         of its output (measurement mask, CI half-widths, volumes) must
-        be bit-identical across lanes, exactly like
-        :meth:`test_structure_and_ci_bit_identical` but through the
+        be bit-identical between production and the oracle, exactly
+        like :meth:`test_structure_and_ci_bit_identical` but through the
         public composition.
         """
         config = MeasurementConfig(days=1.0, seed=2)
-        slow = run_measurement(
-            small_internet, small_prefixes, config, fast=False
-        )
-        fast = run_measurement(
-            small_internet, small_prefixes, config, fast=True
-        )
+        with reference("synthesize"):
+            slow = run_measurement(small_internet, small_prefixes, config)
+        fast = run_measurement(small_internet, small_prefixes, config)
         assert np.array_equal(np.isnan(slow.medians), np.isnan(fast.medians))
         assert np.array_equal(slow.ci_half, fast.ci_half, equal_nan=True)
         assert np.array_equal(slow.volumes, fast.volumes)
@@ -134,8 +161,9 @@ class TestCdnLanes:
         exercising different per-PoP groupings from one topology.
         """
         rotated = small_prefixes[seed:] + small_prefixes[:seed]
-        slow = catchment_map(deployment, rotated, fast=False)
-        fast = catchment_map(deployment, rotated, fast=True)
+        with reference("catchment"):
+            slow = catchment_map(deployment, rotated)
+        fast = catchment_map(deployment, rotated)
         assert fast.frac_unreachable == slow.frac_unreachable
         assert fast.global_frac_misdirected == slow.global_frac_misdirected
         assert fast.global_median_km == pytest.approx(
@@ -158,18 +186,16 @@ class TestCdnLanes:
     def test_redirection_policy_bit_identical(
         self, deployment, small_prefixes, seed
     ):
-        """Both lanes pool the same sample multisets, so the trained
-        policy — every per-LDNS choice and ECS override — is identical."""
+        """Production and oracle pool the same sample multisets, so the
+        trained policy — every per-LDNS choice and ECS override — is
+        identical."""
         dataset = run_beacon_campaign(
             deployment, small_prefixes, BeaconConfig(seed=seed)
         )
         resolvers = {p.ldns for p in dataset.prefixes if p.ldns}
-        slow = train_redirection_policy(
-            dataset, ecs_resolvers=resolvers, fast=False
-        )
-        fast = train_redirection_policy(
-            dataset, ecs_resolvers=resolvers, fast=True
-        )
+        with reference("redirection"):
+            slow = train_redirection_policy(dataset, ecs_resolvers=resolvers)
+        fast = train_redirection_policy(dataset, ecs_resolvers=resolvers)
         assert dict(fast.choices) == dict(slow.choices)
         assert dict(fast.prefix_choices) == dict(slow.prefix_choices)
 
@@ -188,9 +214,7 @@ class TestStreamingLanes:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_fig1_statistics_agree(self, egress_plan, seed):
         config = MeasurementConfig(days=2.0, seed=seed)
-        batch = bgp_vs_best_alternate(
-            synthesize_dataset(egress_plan, config, fast=True)
-        )
+        batch = bgp_vs_best_alternate(synthesize_dataset(egress_plan, config))
         streaming = bgp_vs_best_alternate(
             synthesize_dataset(egress_plan, config, streaming=True)
         )
@@ -209,7 +233,7 @@ class TestStreamingLanes:
         drift between the batch and streaming lanes; the measurement
         mask and volumes are plan-determined."""
         config = MeasurementConfig(days=2.0, seed=0)
-        batch = synthesize_dataset(egress_plan, config, fast=True)
+        batch = synthesize_dataset(egress_plan, config)
         streaming = synthesize_dataset(egress_plan, config, streaming=True)
         assert np.array_equal(
             np.isnan(batch.medians), np.isnan(streaming.medians)
@@ -223,7 +247,7 @@ class TestStreamingLanes:
         same floor + ln2·scale median — well under a couple ms at the
         paper's session counts."""
         config = MeasurementConfig(days=2.0, seed=1)
-        batch = synthesize_dataset(egress_plan, config, fast=True)
+        batch = synthesize_dataset(egress_plan, config)
         streaming = synthesize_dataset(egress_plan, config, streaming=True)
         mask = ~np.isnan(batch.medians)
         diff = np.abs(batch.medians[mask] - streaming.medians[mask])
@@ -249,15 +273,13 @@ class TestStreamingLanes:
     ):
         """Training pools stay far below the centroid budget on this
         fixture, where the sketch is exact up to interpolation — the
-        trained policy matches the batch lanes choice for choice."""
+        trained policy matches the batch lane choice for choice."""
         deployment = CdnDeployment(small_internet)
         dataset = run_beacon_campaign(
             deployment, small_prefixes, BeaconConfig(seed=seed)
         )
         resolvers = {p.ldns for p in dataset.prefixes if p.ldns}
-        batch = train_redirection_policy(
-            dataset, ecs_resolvers=resolvers, fast=True
-        )
+        batch = train_redirection_policy(dataset, ecs_resolvers=resolvers)
         streaming = train_redirection_policy(
             dataset, ecs_resolvers=resolvers, streaming=True
         )
@@ -284,15 +306,13 @@ class TestStreamingLanes:
 class TestCloudtiersLanes:
     def test_campaign_bit_identical(self, small_internet):
         """Ping bursts consume the same noise-stream positions as the
-        per-round calls, so the datasets match sample for sample."""
+        oracle's per-round calls, so the datasets match sample for
+        sample."""
         deployment = CloudDeployment(small_internet)
         cfg = CampaignConfig(days=2, vps_per_day=25, rounds_per_day=4, seed=4)
-        slow = run_campaign(
-            SpeedcheckerPlatform(deployment, seed=4), cfg, fast=False
-        )
-        fast = run_campaign(
-            SpeedcheckerPlatform(deployment, seed=4), cfg, fast=True
-        )
+        with reference("campaign"):
+            slow = run_campaign(SpeedcheckerPlatform(deployment, seed=4), cfg)
+        fast = run_campaign(SpeedcheckerPlatform(deployment, seed=4), cfg)
         assert len(slow.records) == len(fast.records)
         for a, b in zip(slow.records, fast.records):
             assert a.vp_id == b.vp_id and a.day == b.day
@@ -302,17 +322,18 @@ class TestCloudtiersLanes:
 
 
 class TestBgpPropagationLanes:
-    """The propagation fast lane is *bit-identical* to the scalar lane:
-    same best route (path, pref, advertised length) at every AS, for
-    every origin and every grooming variant.  Randomized topologies are
+    """CSR propagation is *bit-identical* to the heap/dict oracle: same
+    best route (path, pref, advertised length) at every AS, for every
+    origin and every grooming variant.  Randomized topologies are
     covered by ``tests/test_properties_bgp.py``'s stability oracle,
-    which also runs both lanes."""
+    which also runs both."""
 
     def test_propagate_bit_identical_all_origins(self, small_internet):
         graph = small_internet.graph
         for asys in graph.ases():
-            scalar = propagate(graph, asys.asn, fast=False)
-            fast = propagate(graph, asys.asn, fast=True)
+            with reference("propagate"):
+                scalar = propagate(graph, asys.asn)
+            fast = propagate(graph, asys.asn)
             assert scalar._routes == fast._routes, f"origin {asys.asn}"
 
     def test_propagate_bit_identical_randomized(self):
@@ -326,13 +347,14 @@ class TestBgpPropagationLanes:
             rng = np.random.default_rng(seed)
             for origin in rng.choice(asns, size=8, replace=False):
                 origin = int(origin)
-                scalar = propagate(graph, origin, fast=False)
-                fast = propagate(graph, origin, fast=True)
+                with reference("propagate"):
+                    scalar = propagate(graph, origin)
+                fast = propagate(graph, origin)
                 assert scalar._routes == fast._routes, f"origin {origin}"
 
     def test_propagate_grooming_bit_identical(self, small_internet):
         """Prepends, suppression, and city scoping hit the same origin
-        edges in both lanes."""
+        edges in production and the oracle."""
         graph = small_internet.graph
         origin = small_internet.provider_asn
         neighbors = sorted(graph.neighbors(origin))
@@ -348,41 +370,45 @@ class TestBgpPropagationLanes:
             ),
         ]
         for kwargs in variants:
-            scalar = propagate(graph, origin, fast=False, **kwargs)
-            fast = propagate(graph, origin, fast=True, **kwargs)
+            with reference("propagate"):
+                scalar = propagate(graph, origin, **kwargs)
+            fast = propagate(graph, origin, **kwargs)
             assert scalar._routes == fast._routes, kwargs
 
     def test_propagate_many_matches_per_origin_calls(self, small_internet):
         graph = small_internet.graph
         origins = [asys.asn for asys in graph.ases()][:10]
-        batched = propagate_many(graph, origins, fast=True)
+        batched = propagate_many(graph, origins)
         for origin, table in zip(origins, batched):
             assert table.origin == origin
             assert table._routes == propagate(graph, origin)._routes
-        scalar_batch = propagate_many(graph, origins, fast=False)
+        with reference("propagate"):
+            scalar_batch = propagate_many(graph, origins)
         for fast_table, scalar_table in zip(batched, scalar_batch):
             assert fast_table._routes == scalar_table._routes
 
     def test_tables_for_destinations_lanes_agree(self, small_internet):
         asns = [asys.asn for asys in small_internet.graph.ases()][:8]
-        fast = tables_for_destinations(small_internet, asns, fast=True)
-        scalar = tables_for_destinations(small_internet, asns, fast=False)
+        fast = tables_for_destinations(small_internet, asns)
+        with reference("propagate"):
+            scalar = tables_for_destinations(small_internet, asns)
         assert set(fast) == set(scalar)
         for asn in fast:
             assert fast[asn]._routes == scalar[asn]._routes
 
 
 class TestTopologyLanes:
-    """build_internet(fast=True) memoizes distances; output is
-    bit-identical (LANE001 pin)."""
+    """build_internet memoizes distances and rankings per build; its
+    output is bit-identical to the un-memoised construction."""
 
     def test_build_internet_bit_identical(self):
         from repro.topology.serialization import internet_to_dict
 
         for seed in SEEDS:
             cfg = TopologyConfig(seed=seed, n_tier1=4, n_transit=16, n_eyeball=40)
-            scalar = build_internet(cfg, fast=False)
-            fast = build_internet(cfg, fast=True)
+            with reference("topology"):
+                scalar = build_internet(cfg)
+            fast = build_internet(cfg)
             assert internet_to_dict(scalar) == internet_to_dict(fast), seed
 
     def test_build_internet_custom_backbone_mesh(self):
@@ -398,14 +424,16 @@ class TestTopologyLanes:
             pop_cities=DEFAULT_POP_CITIES[:12],
             dc_pop_code=DEFAULT_POP_CITIES[0][0],
         )
-        scalar = build_internet(cfg, fast=False)
-        fast = build_internet(cfg, fast=True)
+        with reference("topology"):
+            scalar = build_internet(cfg)
+        fast = build_internet(cfg)
         assert internet_to_dict(scalar) == internet_to_dict(fast)
 
 
 class TestBgpDynamicsLanes:
-    """LANE001 for the event-driven engine: once the event queue drains
-    after a lone announcement, the dynamics end-state is *bit-identical*
+    """The event-driven engine against static propagation: once the
+    event queue drains after a lone announcement, the dynamics end-state
+    is *bit-identical*
     to static ``propagate()`` on the same graph — the event-driven
     fixpoint and the three-phase construction are the same unique
     stable state.  Random schedules are covered by
@@ -421,7 +449,7 @@ class TestBgpDynamicsLanes:
             engine.schedule_announce(0.0, origin)
             engine.run()
             assert engine.converged
-            static = propagate(graph, origin, fast=True)
+            static = propagate(graph, origin)
             assert engine.routes() == static._routes, f"origin {origin}"
             assert engine.routing_table()._routes == static._routes
 
@@ -438,7 +466,7 @@ class TestBgpDynamicsLanes:
         engine = DynamicsEngine(graph, DynamicsConfig(seed=0))
         engine.schedule_announce(0.0, origin, **kwargs)
         engine.run()
-        static = propagate(graph, origin, fast=True, **kwargs)
+        static = propagate(graph, origin, **kwargs)
         assert engine.routes() == static._routes
 
     def test_dynamics_after_failure_matches_static_on_effective_graph(
@@ -455,5 +483,5 @@ class TestBgpDynamicsLanes:
         engine.schedule_link_down(engine.now + 1.0, origin, neighbor)
         engine.run()
         assert engine.converged
-        static = propagate(engine.effective_graph(), origin, fast=True)
+        static = propagate(engine.effective_graph(), origin)
         assert engine.routes() == static._routes

@@ -597,20 +597,28 @@ class TestLaneSignature:
         assert "PAR001" not in rules_of(findings)
 
     def test_sampler_lanes_stay_in_parity(self):
-        """Regression: the scalar lane drifted to a ``pairs`` head param
-        once; all three ``_synthesize_*`` lanes must share the plan-first
-        signature prefix."""
+        """Regression: a ``_synthesize_*`` lane drifted to a ``pairs``
+        head param once; the batch and streaming lanes must share the
+        plan-first signature prefix.  The reference oracle in
+        ``tests/lane_oracles.py`` shares the stem but lives in another
+        module, so it never joins the library's lane group."""
         graph = build_graph(
-            [REPO_ROOT / "src" / "repro" / "edgefabric" / "sampler.py"],
+            [
+                REPO_ROOT / "src" / "repro" / "edgefabric" / "sampler.py",
+                REPO_ROOT / "tests" / "lane_oracles.py",
+            ],
             root=REPO_ROOT,
         )
         groups = lane_groups(graph)
         key = ("repro.edgefabric.sampler", "_synthesize")
         assert key in groups
         lanes = groups[key]
-        assert set(lanes) == {"scalar", "fast", "streaming"}
+        assert set(lanes) == {"fast", "streaming"}
         for info in lanes.values():
             assert info.params[0] == "plan"
+        for (module, _stem), members in groups.items():
+            assert {info.module for info in members.values()} == {module}
+            assert not module.endswith("lane_oracles")
         assert list(LaneSignatureRule().check_graph(graph)) == []
 
 

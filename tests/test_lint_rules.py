@@ -173,6 +173,41 @@ class TestRngRules:
         )
         assert rules_of(findings) == set()
 
+    def test_salted_hash_seed_flagged(self, tmp_path):
+        """Builtin hash() is salted per process: a seed built from it
+        gives a different stream under every PYTHONHASHSEED."""
+        findings = lint_snippet(
+            tmp_path,
+            """
+            import numpy as np
+
+            def last_mile(seed, key):
+                rng = np.random.default_rng([seed, hash(key) & 0xFFFFFFFF])
+                return rng.uniform(2.0, 12.0)
+            """,
+        )
+        hits = [f for f in findings if f.rule == "RNG002"]
+        assert len(hits) == 1
+        assert "hash()" in hits[0].message
+        assert hits[0].severity == "error"
+
+    def test_stable_digest_seed_passes(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """
+            import zlib
+
+            import numpy as np
+
+            def last_mile(seed, key):
+                rng = np.random.default_rng(
+                    [seed, zlib.crc32(key.encode("utf-8"))]
+                )
+                return rng.uniform(2.0, 12.0)
+            """,
+        )
+        assert rules_of(findings) == set()
+
     def test_tests_are_out_of_scope(self, tmp_path):
         findings = lint_snippet(
             tmp_path,
@@ -235,48 +270,31 @@ class TestTimePurity:
 
 
 class TestLaneParity:
-    FAST_FN = """
-        def resample(values, fast=True):
-            return values
-        """
+    """The retired LANE001: ``fast=`` no longer selects a lane, so only
+    ``streaming=`` parameters are policed (LANE002)."""
 
-    def test_unreferenced_fast_lane_flagged(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            self.FAST_FN,
-            rel="src/repro/cdn/resample.py",
-            lane_test="def test_other():\n    pass\n",
-        )
-        assert "LANE001" in rules_of(findings)
-
-    def test_missing_lane_suite_flags_everything(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path, self.FAST_FN, rel="src/repro/cdn/resample.py"
-        )
-        assert "LANE001" in rules_of(findings)
-
-    def test_referenced_fast_lane_passes(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            self.FAST_FN,
-            rel="src/repro/cdn/resample.py",
-            lane_test="""
-            def test_resample_lanes_agree():
-                assert resample([1], fast=True) == resample([1], fast=False)
-            """,
-        )
-        assert rules_of(findings) == set()
-
-    def test_private_fast_helpers_exempt(self, tmp_path):
+    def test_fast_parameter_not_policed(self, tmp_path):
         findings = lint_snippet(
             tmp_path,
             """
-            def _resample_impl(values, fast=True):
+            def resample(values, fast=True):
                 return values
             """,
             rel="src/repro/cdn/resample.py",
+            lane_test="def test_other():\n    pass\n",
         )
         assert rules_of(findings) == set()
+
+    def test_missing_lane_suite_flags_everything(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """
+            def aggregate(values, streaming=False):
+                return values
+            """,
+            rel="src/repro/stream/agg.py",
+        )
+        assert "LANE002" in rules_of(findings)
 
 
 class TestStreamingLaneParity:
@@ -327,7 +345,7 @@ class TestStreamingLaneParity:
             rel="src/repro/edgefabric/synth.py",
             lane_test="def test_other():\n    pass\n",
         )
-        assert {"LANE001", "LANE002"} <= rules_of(findings)
+        assert rules_of(findings) == {"LANE002"}
 
 
 class TestCrashContainment:
@@ -648,10 +666,10 @@ class TestSuppression:
         findings = lint_snippet(
             tmp_path,
             """
-            def resample(values, fast=True):  # repro-lint: disable=LANE001
+            def aggregate(values, streaming=False):  # repro-lint: disable=LANE002
                 return values
             """,
-            rel="src/repro/cdn/resample.py",
+            rel="src/repro/stream/agg.py",
         )
         assert rules_of(findings) == set()
 
@@ -712,9 +730,6 @@ VIOLATION_FILES = {
 
         def bail():
             os._exit(1)
-
-        def resample(values, fast=True):
-            return values
 
         def ingest(values, streaming=False):
             return values
