@@ -46,7 +46,7 @@ def availability_inputs():
         BeaconConfig(days=3.0, requests_per_prefix=40, seed=BENCH_SEED + 3),
     )
     policy = train_redirection_policy(dataset)
-    busiest = Counter(deployment.catchment(p).code for p in prefixes).most_common(1)[0][0]
+    busiest = Counter(deployment.resolve(prefixes).catchment).most_common(1)[0][0]
     return factory, internet, prefixes, policy, busiest
 
 

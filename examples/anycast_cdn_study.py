@@ -104,15 +104,13 @@ def main(seed: int = 0) -> None:
     # prefix to the neighbor whose (remote) peering attracts this client.
     # Prepending would not work — the peer route wins on local preference
     # no matter how long its path looks.
-    path = deployment.anycast_path(victim)
-    bad_neighbor = path.as_path[-2] if len(path.as_path) >= 2 else None
+    ungroomed = deployment.resolve([victim])
     grooming = Grooming.ungroomed([p.city for p in internet.wan.pops])
-    grooming.suppress_neighbor(bad_neighbor)
-    groomed = CdnDeployment(internet, grooming=grooming)
-    before = deployment.catchment(victim).code
-    after = groomed.catchment(victim).code
-    before_ms = 2.0 * deployment.anycast_path(victim).one_way_ms
-    after_ms = 2.0 * groomed.anycast_path(victim).one_way_ms
+    grooming.suppress_neighbor(ungroomed.entry_asn[0])
+    groomed = CdnDeployment(internet, grooming=grooming).resolve([victim])
+    before, after = ungroomed.catchment[0], groomed.catchment[0]
+    before_ms = float(ungroomed.anycast_rtt_ms[0])
+    after_ms = float(groomed.anycast_rtt_ms[0])
     print(
         format_table(
             ["", "catchment", "propagation RTT (ms)"],

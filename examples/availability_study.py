@@ -46,7 +46,7 @@ def main(seed: int = 0) -> None:
     )
     policy = train_redirection_policy(dataset)
 
-    busiest = Counter(deployment.catchment(p).code for p in prefixes).most_common(1)[0][0]
+    busiest = Counter(deployment.resolve(prefixes).catchment).most_common(1)[0][0]
     print(f"Failing the busiest front-end: {busiest}")
     result = anycast_vs_dns_failover(
         factory, prefixes, busiest, policy=policy, ttl_s=60.0

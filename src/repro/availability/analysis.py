@@ -71,43 +71,25 @@ def anycast_vs_dns_failover(
     if ttl_s <= 0:
         raise AnalysisError("ttl must be positive")
 
-    before_net = internet_factory()
-    before = CdnDeployment(before_net)
     weights = np.array([p.weight for p in prefixes])
-    catchments_before: List[Optional[str]] = []
-    rtt_before = np.full(len(prefixes), np.nan)
-    for i, prefix in enumerate(prefixes):
-        try:
-            path = before.anycast_path(prefix)
-        except Exception:
-            catchments_before.append(None)
-            continue
-        catchments_before.append(
-            before.internet.wan.nearest_pop(path.ingress_city.location).code
-        )
-        rtt_before[i] = 2.0 * path.one_way_ms
+    before = CdnDeployment(internet_factory()).resolve(prefixes)
 
     after_net = internet_factory()
     survivors = fail_pop_site(after_net, pop_code)
     grooming = Grooming.ungroomed([p.city for p in after_net.wan.pops])
     failed_city = after_net.wan.pop(pop_code).city
     grooming.withdraw_city(failed_city)
-    after = CdnDeployment(after_net, grooming=grooming)
-    assert survivors == after.anycast_table.origin_cities
+    after_deployment = CdnDeployment(after_net, grooming=grooming)
+    assert survivors == after_deployment.anycast_table.origin_cities
 
-    shifted = np.zeros(len(prefixes), dtype=bool)
+    # Only the failed site's catchment moves; re-resolve just that subset.
+    shifted = np.array([code == pop_code for code in before.catchment])
+    moved = np.flatnonzero(shifted)
+    after = after_deployment.resolve([prefixes[i] for i in moved])
     unreachable = np.zeros(len(prefixes), dtype=bool)
+    unreachable[moved] = ~after.reachable
     added = np.full(len(prefixes), np.nan)
-    for i, prefix in enumerate(prefixes):
-        if catchments_before[i] != pop_code:
-            continue
-        shifted[i] = True
-        try:
-            path = after.anycast_path(prefix)
-        except Exception:
-            unreachable[i] = True
-            continue
-        added[i] = 2.0 * path.one_way_ms - rtt_before[i]
+    added[moved] = after.anycast_rtt_ms - before.anycast_rtt_ms[moved]
 
     total = weights.sum()
     shifted_w = weights[shifted].sum()

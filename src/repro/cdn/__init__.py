@@ -9,7 +9,7 @@ prediction scheme then tries to beat anycast with DNS redirection
 (Figure 4).
 """
 
-from repro.cdn.deployment import CdnDeployment
+from repro.cdn.deployment import CdnDeployment, ClientPaths
 from repro.cdn.measurement import BeaconConfig, BeaconDataset, run_beacon_campaign
 from repro.cdn.dns_redirection import (
     RedirectionPolicy,
@@ -34,6 +34,7 @@ from repro.cdn.analysis import (
 
 __all__ = [
     "CdnDeployment",
+    "ClientPaths",
     "BeaconConfig",
     "BeaconDataset",
     "run_beacon_campaign",

@@ -15,9 +15,9 @@ import numpy as np
 
 from repro.errors import AnalysisError
 from repro.analysis import format_table
-from repro.geo import great_circle_km_matrix
+from repro.geo import great_circle_km
 from repro.workloads import ClientPrefix
-from repro.cdn.deployment import CdnDeployment
+from repro.cdn.deployment import CdnDeployment, traffic_quantile
 
 
 @dataclass(frozen=True)
@@ -93,47 +93,6 @@ class CatchmentMap:
         )
 
 
-def _catchment_geometry_fast(
-    deployment: CdnDeployment, reached, catchments
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-prefix (km-to-catchment, misdirected) from two distance
-    matrices.
-
-    Front-ends are pre-sorted by code so ``argmin``'s first-minimum rule
-    is the ``min(key=(km, code))`` tie-break for exact distance ties
-    (co-located sites produce bitwise-equal rows).  The numpy haversine
-    agrees with the scalar :func:`~repro.geo.great_circle_km` only to
-    round-off, so *near*-equidistant front-end pairs may in principle
-    resolve differently from a per-prefix loop; the agreement tests
-    assert identity on the study topologies.
-    """
-    client_points = [p.city.location for p in reached]
-    front_ends = sorted(deployment.front_ends, key=lambda p: p.code)
-    fe_km = great_circle_km_matrix(
-        client_points, [p.city.location for p in front_ends]
-    )
-    fe_codes = np.array([p.code for p in front_ends])
-    nearest_codes = fe_codes[fe_km.argmin(axis=1)]
-    catchment_codes = np.array([c.code for c in catchments])
-    misdirected = nearest_codes != catchment_codes
-
-    # Distances to each prefix's own catchment: a (clients × unique
-    # catchment cities) matrix, gathered along each prefix's column.
-    column_of: Dict[str, int] = {}
-    catchment_points = []
-    columns = np.empty(len(catchments), dtype=np.intp)
-    for i, catchment in enumerate(catchments):
-        j = column_of.get(catchment.code)
-        if j is None:
-            j = len(catchment_points)
-            column_of[catchment.code] = j
-            catchment_points.append(catchment.city.location)
-        columns[i] = j
-    catch_km = great_circle_km_matrix(client_points, catchment_points)
-    kms = catch_km[np.arange(len(reached)), columns]
-    return kms, misdirected
-
-
 def catchment_map(
     deployment: CdnDeployment,
     prefixes: Sequence[ClientPrefix],
@@ -146,61 +105,42 @@ def catchment_map(
     """
     if not prefixes:
         raise AnalysisError("no client prefixes")
-    # Path resolution walks the routing graph per prefix; only the
-    # geometry below is vectorized.
+    paths = deployment.resolve(prefixes)
+    wan = deployment.internet.wan
     unreachable = 0.0
     total = 0.0
-    reached: List[ClientPrefix] = []
-    catchments: List = []
-    for prefix in prefixes:
-        total += prefix.weight
-        try:
-            path = deployment.anycast_path(prefix)
-        except Exception:
-            unreachable += prefix.weight
-            continue
-        reached.append(prefix)
-        catchments.append(
-            deployment.internet.wan.nearest_pop(path.ingress_city.location)
-        )
-    if not reached:
-        raise AnalysisError("no prefix can reach the anycast prefix")
-
-    km_arr, misdirected_arr = _catchment_geometry_fast(
-        deployment, reached, catchments
-    )
-
     per_pop: Dict[str, List[Tuple[float, float, bool]]] = {}
     all_km: List[float] = []
     all_weights: List[float] = []
     misdirected_weight = 0.0
-    for i, (prefix, catchment) in enumerate(zip(reached, catchments)):
-        km = float(km_arr[i])
-        misdirected = bool(misdirected_arr[i])
-        per_pop.setdefault(catchment.code, []).append(
-            (prefix.weight, km, misdirected)
-        )
+    for i, prefix in enumerate(prefixes):
+        total += prefix.weight
+        code = paths.catchment[i]
+        if code is None:
+            unreachable += prefix.weight
+            continue
+        km = great_circle_km(prefix.city.location, wan.pop(code).city.location)
+        misdirected = paths.front_ends[i][0] != code
+        per_pop.setdefault(code, []).append((prefix.weight, km, misdirected))
         all_km.append(km)
         all_weights.append(prefix.weight)
         if misdirected:
             misdirected_weight += prefix.weight
+    if not all_km:
+        raise AnalysisError("no prefix can reach the anycast prefix")
 
     entries: List[CatchmentEntry] = []
     for pop_code, rows in per_pop.items():
         weights = np.array([r[0] for r in rows])
         kms = np.array([r[1] for r in rows])
         missed = np.array([r[2] for r in rows])
-        order = np.argsort(kms)
-        cum = np.cumsum(weights[order]) / weights.sum()
         entries.append(
             CatchmentEntry(
                 pop_code=pop_code,
                 traffic_share=float(weights.sum() / total),
                 n_prefixes=len(rows),
-                median_client_km=float(kms[order][np.searchsorted(cum, 0.5)]),
-                p90_client_km=float(
-                    kms[order][min(np.searchsorted(cum, 0.9), len(rows) - 1)]
-                ),
+                median_client_km=traffic_quantile(kms, weights, 0.5),
+                p90_client_km=traffic_quantile(kms, weights, 0.9),
                 frac_misdirected=float(
                     weights[missed].sum() / weights.sum()
                 ),
@@ -208,12 +148,9 @@ def catchment_map(
         )
     entries.sort(key=lambda e: (-e.traffic_share, e.pop_code))
     weights_arr = np.array(all_weights)
-    km_arr = np.array(all_km)
-    order = np.argsort(km_arr)
-    cum = np.cumsum(weights_arr[order]) / weights_arr.sum()
     return CatchmentMap(
         entries=tuple(entries),
         frac_unreachable=unreachable / total,
-        global_median_km=float(km_arr[order][np.searchsorted(cum, 0.5)]),
+        global_median_km=traffic_quantile(np.array(all_km), weights_arr, 0.5),
         global_frac_misdirected=misdirected_weight / weights_arr.sum(),
     )

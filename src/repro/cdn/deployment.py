@@ -4,21 +4,80 @@ The CDN is the topology's provider AS; its PoPs are the front-ends.  The
 anycast prefix is announced at every front-end; each front-end also gets
 a unicast prefix announced only at its own city (this is what the Bing
 study measured against).  Routing state for all of them is computed once
-and shared by the measurement campaign.
+and shared by every study: :meth:`CdnDeployment.resolve` answers, for a
+whole client population at once, which front-end anycast reaches and
+how that compares with unicast to the nearby front-ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import RoutingError
-from repro.geo import great_circle_km
+import numpy as np
+
+from repro.errors import MeasurementError, RoutingError
+from repro.geo import City, great_circle_km
 from repro.topology import Internet, PointOfPresence
 from repro.bgp import PropagationRequest, propagate_many
 from repro.bgp.propagation import RoutingTable
 from repro.netmodel import ForwardingPath, trace
 from repro.workloads import ClientPrefix
+
+
+@dataclass(frozen=True)
+class ClientPaths:
+    """Anycast and nearby-unicast routing of a client population.
+
+    Columns are index-aligned with the prefixes passed to
+    :meth:`CdnDeployment.resolve`.
+
+    Attributes:
+        reachable: Clients with a route to the anycast prefix.
+        anycast_rtt_ms: Anycast propagation RTT; NaN where unreachable.
+        catchment: Front-end code anycast delivers to (the PoP nearest
+            the ingress city); ``None`` where unreachable.
+        entry_asn: The neighbor whose link the anycast path enters the
+            CDN over (what a grooming action targets); ``None`` where
+            unreachable.
+        front_ends: Every front-end code, geographically nearest the
+            client first, ties broken by code.
+        unicast_rtt_ms: Propagation RTT to the unicast prefix of each of
+            ``front_ends[:nearby]``, shape ``(P, nearby)`` with
+            ``nearby`` clamped to the front-end count; NaN where there is
+            no route, and on every unreachable client's row.
+    """
+
+    reachable: np.ndarray
+    anycast_rtt_ms: np.ndarray
+    catchment: Tuple[Optional[str], ...]
+    entry_asn: Tuple[Optional[int], ...]
+    front_ends: Tuple[Tuple[str, ...], ...]
+    unicast_rtt_ms: np.ndarray
+
+    def gap_ms(self) -> np.ndarray:
+        """Anycast RTT minus the best traced unicast RTT, per client.
+
+        0 where no traced front-end has a unicast route; NaN where the
+        client is unreachable.
+        """
+        best = np.where(
+            np.isnan(self.unicast_rtt_ms), np.inf, self.unicast_rtt_ms
+        ).min(axis=1, initial=np.inf)
+        return np.where(
+            np.isfinite(best),
+            self.anycast_rtt_ms - best,
+            np.where(self.reachable, 0.0, np.nan),
+        )
+
+
+def traffic_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
+    """Traffic-weighted quantile: the smallest value whose cumulative
+    weight share reaches ``q``."""
+    order = np.argsort(values)
+    cum = np.cumsum(weights[order]) / weights.sum()
+    idx = min(int(np.searchsorted(cum, q)), len(values) - 1)
+    return float(values[order][idx])
 
 
 @dataclass
@@ -90,11 +149,6 @@ class CdnDeployment:
             prefix.city,
         )
 
-    def catchment(self, prefix: ClientPrefix) -> PointOfPresence:
-        """The front-end anycast delivers this client to."""
-        path = self.anycast_path(prefix)
-        return self.internet.wan.nearest_pop(path.ingress_city.location)
-
     def unicast_path(
         self, prefix: ClientPrefix, pop_code: str
     ) -> Optional[ForwardingPath]:
@@ -118,19 +172,66 @@ class CdnDeployment:
         except RoutingError:
             return None
 
-    def nearby_front_ends(
-        self, prefix: ClientPrefix, k: int
-    ) -> List[PointOfPresence]:
-        """The ``k`` front-ends geographically nearest a client.
+    def resolve(
+        self, prefixes: Sequence[ClientPrefix], nearby: int = 0
+    ) -> ClientPaths:
+        """Resolve a client population's anycast and unicast paths.
 
-        This is the measurement target set the Bing beacons used
-        ("directing clients to fetch objects from multiple unicast server
-        locations" at nearby front-ends).
+        Args:
+            prefixes: The clients; the result is index-aligned with them.
+            nearby: Unicast prefixes to trace per reachable client, at
+                its geographically nearest front-ends.  This is the
+                measurement target set the Bing beacons used ("directing
+                clients to fetch objects from multiple unicast server
+                locations" at nearby front-ends).
+
+        Only :class:`~repro.errors.RoutingError` marks a client
+        unreachable; any other error propagates.
         """
-        return sorted(
-            self.front_ends,
-            key=lambda p: (
-                great_circle_km(prefix.city.location, p.city.location),
-                p.code,
-            ),
-        )[:k]
+        if nearby < 0:
+            raise MeasurementError("nearby must be non-negative")
+        wan = self.internet.wan
+        n = len(prefixes)
+        k = min(nearby, len(self.front_ends))
+        reachable = np.zeros(n, dtype=bool)
+        anycast = np.full(n, np.nan)
+        unicast = np.full((n, k), np.nan)
+        catchment: List[Optional[str]] = [None] * n
+        entry_asn: List[Optional[int]] = [None] * n
+        front_ends: List[Tuple[str, ...]] = []
+        for i, prefix in enumerate(prefixes):
+            order = self._by_distance(prefix.city)
+            front_ends.append(order)
+            try:
+                path = self.anycast_path(prefix)
+            except RoutingError:
+                continue
+            reachable[i] = True
+            anycast[i] = path.rtt_ms
+            catchment[i] = wan.nearest_pop(path.ingress_city.location).code
+            entry_asn[i] = path.as_path[-2]
+            for j, code in enumerate(order[:k]):
+                uni = self.unicast_path(prefix, code)
+                if uni is not None:
+                    unicast[i, j] = uni.rtt_ms
+        return ClientPaths(
+            reachable=reachable,
+            anycast_rtt_ms=anycast,
+            catchment=tuple(catchment),
+            entry_asn=tuple(entry_asn),
+            front_ends=tuple(front_ends),
+            unicast_rtt_ms=unicast,
+        )
+
+    def _by_distance(self, city: City) -> Tuple[str, ...]:
+        """Front-end codes ordered by ``(great-circle km, code)``."""
+        return tuple(
+            p.code
+            for p in sorted(
+                self.front_ends,
+                key=lambda p: (
+                    great_circle_km(city.location, p.city.location),
+                    p.code,
+                ),
+            )
+        )

@@ -25,7 +25,7 @@ from repro.errors import AnalysisError
 from repro.bgp import Grooming
 from repro.topology import Internet, Relationship
 from repro.workloads import ClientPrefix
-from repro.cdn.deployment import CdnDeployment
+from repro.cdn.deployment import CdnDeployment, traffic_quantile
 
 logger = logging.getLogger(__name__)
 
@@ -77,45 +77,24 @@ class GroomingStudyResult:
         )
 
 
-def _catchment_gaps(
-    deployment: CdnDeployment, prefixes: Sequence[ClientPrefix]
-) -> np.ndarray:
-    """Per-prefix propagation gap: anycast RTT − best front-end RTT."""
-    gaps = np.zeros(len(prefixes))
-    for i, prefix in enumerate(prefixes):
-        try:
-            anycast = 2.0 * deployment.anycast_path(prefix).one_way_ms
-        except Exception:
-            gaps[i] = np.nan
-            continue
-        best = np.inf
-        for pop in deployment.nearby_front_ends(prefix, 4):
-            path = deployment.unicast_path(prefix, pop.code)
-            if path is not None:
-                best = min(best, 2.0 * path.one_way_ms)
-        gaps[i] = anycast - best if np.isfinite(best) else 0.0
-    return gaps
+#: Nearest front-ends whose unicast RTT the catchment gap compares with.
+GAP_CANDIDATES = 4
 
 
 def _summarize(
-    deployment: CdnDeployment,
-    prefixes: Sequence[ClientPrefix],
+    gaps: np.ndarray,
+    weights: np.ndarray,
     action: str,
     suppressed: Optional[int],
 ) -> GroomingStep:
-    gaps = _catchment_gaps(deployment, prefixes)
-    weights = np.array([p.weight for p in prefixes])
     valid = ~np.isnan(gaps)
     g = gaps[valid]
     w = weights[valid]
-    order = np.argsort(g)
-    cum = np.cumsum(w[order]) / w.sum()
-    median_gap = float(g[order][np.searchsorted(cum, 0.5)])
     return GroomingStep(
         action=action,
         suppressed_asn=suppressed,
         frac_within_10ms=float(w[g <= 10.0].sum() / w.sum()),
-        median_gap_ms=median_gap,
+        median_gap_ms=traffic_quantile(g, w, 0.5),
         worst_gap_ms=float(np.nanmax(g)) if g.size else 0.0,
     )
 
@@ -148,15 +127,13 @@ def groom_iteratively(
     if max_actions < 1:
         raise AnalysisError("max_actions must be >= 1")
     grooming = Grooming.ungroomed([p.city for p in internet.wan.pops])
-    deployment = CdnDeployment(internet)
-    steps: List[GroomingStep] = [
-        _summarize(deployment, prefixes, "ungroomed", None)
-    ]
+    weights = np.array([p.weight for p in prefixes])
+    paths = CdnDeployment(internet).resolve(prefixes, GAP_CANDIDATES)
+    gaps = paths.gap_ms()
+    steps: List[GroomingStep] = [_summarize(gaps, weights, "ungroomed", None)]
     provider = internet.provider_asn
     already_suppressed: set = set()
     for _ in range(max_actions):
-        gaps = _catchment_gaps(deployment, prefixes)
-        weights = np.array([p.weight for p in prefixes])
         scores = np.where(np.isnan(gaps), -np.inf, gaps * weights)
         # Walk candidates worst-first until one is actionable: the entry
         # neighbor must be a peer (never pull announcements from a
@@ -170,8 +147,7 @@ def groom_iteratively(
             if gaps[worst] < min_gap_ms:
                 continue  # fine as-is; a heavier-but-healthy prefix can
                 # outscore a light pathological one, so keep walking.
-            path = deployment.anycast_path(prefixes[worst])
-            entry_neighbor = path.as_path[-2]
+            entry_neighbor = paths.entry_asn[worst]
             if entry_neighbor in already_suppressed:
                 continue
             link = internet.graph.link(provider, entry_neighbor)
@@ -189,11 +165,14 @@ def groom_iteratively(
             gaps[worst],
         )
         grooming.suppress_neighbor(entry_neighbor)
-        deployment = CdnDeployment(internet, grooming=grooming)
+        paths = CdnDeployment(internet, grooming=grooming).resolve(
+            prefixes, GAP_CANDIDATES
+        )
+        gaps = paths.gap_ms()
         steps.append(
             _summarize(
-                deployment,
-                prefixes,
+                gaps,
+                weights,
                 f"suppress announcement to AS{entry_neighbor} "
                 f"(was attracting {prefixes[worst].pid})",
                 entry_neighbor,
@@ -261,11 +240,20 @@ def grooming_transfer_study(
     for asn in trained.suppressed_asns:
         grooming.suppress_neighbor(asn)
 
-    ungroomed_dep = CdnDeployment(internet)
-    transferred_dep = CdnDeployment(internet, grooming=grooming)
-    eval_ungroomed = _summarize(ungroomed_dep, eval_prefixes, "ungroomed", None)
+    eval_weights = np.array([p.weight for p in eval_prefixes])
+    eval_ungroomed = _summarize(
+        CdnDeployment(internet).resolve(eval_prefixes, GAP_CANDIDATES).gap_ms(),
+        eval_weights,
+        "ungroomed",
+        None,
+    )
     eval_transferred = _summarize(
-        transferred_dep, eval_prefixes, "transferred", None
+        CdnDeployment(internet, grooming=grooming)
+        .resolve(eval_prefixes, GAP_CANDIDATES)
+        .gap_ms(),
+        eval_weights,
+        "transferred",
+        None,
     )
     own = groom_iteratively(
         internet, eval_prefixes, max_actions=max_actions, min_gap_ms=min_gap_ms

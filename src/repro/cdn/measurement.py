@@ -154,50 +154,31 @@ def run_beacon_campaign(
     congestion = CongestionModel(cfg.seed, cfg.congestion_config())
     horizon = cfg.days * 24.0
 
-    kept: List[ClientPrefix] = []
-    catchments: List[str] = []
-    fe_codes: List[Tuple[str, ...]] = []
-    base_any: List[float] = []
-    base_uni: List[List[float]] = []
-    path_keys: List[Tuple[str, List[str]]] = []
-    for prefix in prefixes:
-        try:
-            any_path = deployment.anycast_path(prefix)
-        except Exception:  # unreachable client; skip like a failed beacon
-            continue
-        catchment = deployment.internet.wan.nearest_pop(
-            any_path.ingress_city.location
-        )
-        # Measure every front-end: the catchment first, then the rest by
-        # distance.  Figure 3 only uses the nearest `nearby_front_ends`
-        # columns; the full set lets a DNS-redirection policy send the
-        # client anywhere (including somewhere bad, which is the failure
-        # mode public-resolver aggregation produces).
-        ordered = deployment.nearby_front_ends(prefix, len(deployment.front_ends))
-        codes = [catchment.code] + [
-            p.code for p in ordered if p.code != catchment.code
-        ]
-        uni_bases: List[float] = []
-        uni_keys: List[str] = []
-        for code in codes:
-            path = deployment.unicast_path(prefix, code)
-            if path is None:
-                uni_bases.append(float("nan"))
-            else:
-                uni_bases.append(2.0 * path.one_way_ms)
-            uni_keys.append(f"cdnpath:{prefix.pid}->{code}")
-        kept.append(prefix)
-        catchments.append(catchment.code)
-        fe_codes.append(tuple(codes))
-        base_any.append(2.0 * any_path.one_way_ms)
-        base_uni.append(uni_bases)
-        path_keys.append((f"cdnpath:{prefix.pid}->anycast", uni_keys))
-    if not kept:
+    # Measure every front-end: the catchment first, then the rest by
+    # distance.  Figure 3 only uses the nearest `nearby_front_ends`
+    # columns; the full set lets a DNS-redirection policy send the
+    # client anywhere (including somewhere bad, which is the failure
+    # mode public-resolver aggregation produces).  Unreachable clients
+    # are skipped like failed beacons.
+    k = len(deployment.front_ends)
+    paths = deployment.resolve(prefixes, nearby=k)
+    rows = np.flatnonzero(paths.reachable)
+    if not rows.size:
         raise MeasurementError("no prefix could reach the anycast prefix")
+    kept = [prefixes[i] for i in rows]
+    catchments = [paths.catchment[i] for i in rows]
+    columns = np.empty((rows.size, k), dtype=np.intp)
+    fe_codes: List[Tuple[str, ...]] = []
+    for r, i in enumerate(rows):
+        order = paths.front_ends[i]
+        first = order.index(paths.catchment[i])
+        columns[r] = [first, *range(first), *range(first + 1, k)]
+        fe_codes.append(tuple(order[j] for j in columns[r]))
+    base_any = paths.anycast_rtt_ms[rows]
+    base_uni = np.take_along_axis(paths.unicast_rtt_ms[rows], columns, axis=1)
 
     n_p = len(kept)
     n_r = cfg.requests_per_prefix
-    k = len(deployment.front_ends)
     times = np.empty((n_p, n_r))
     anycast_rtt = np.empty((n_p, n_r))
     unicast_rtt = np.full((n_p, n_r, k), np.nan)
@@ -211,7 +192,7 @@ def run_beacon_campaign(
             + congestion.shared_delay(f"dest:{prefix.pid}", prefix.city.location.lon, t)
             + rng.exponential(cfg.rtt_noise_ms, size=n_r)
         )
-        any_key, uni_keys = path_keys[i]
+        any_key = f"cdnpath:{prefix.pid}->anycast"
         anycast_rtt[i] = (
             base_any[i]
             + shared
@@ -220,14 +201,15 @@ def run_beacon_campaign(
             + rng.exponential(cfg.rtt_noise_ms, size=n_r)
         )
         for j, code in enumerate(fe_codes[i]):
-            base = base_uni[i][j]
+            base = base_uni[i, j]
             if np.isnan(base):
                 continue
+            uni_key = f"cdnpath:{prefix.pid}->{code}"
             unicast_rtt[i, :, j] = (
                 base
                 + shared
-                + congestion.link_delay(uni_keys[j], t)
-                + congestion.baseline_shift_delay(uni_keys[j], t)
+                + congestion.link_delay(uni_key, t)
+                + congestion.baseline_shift_delay(uni_key, t)
                 + rng.exponential(cfg.rtt_noise_ms, size=n_r)
             )
     if cfg.drain is not None:

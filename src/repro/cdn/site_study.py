@@ -24,7 +24,7 @@ from repro.errors import AnalysisError
 from repro.geo import great_circle_km
 from repro.topology import TopologyConfig, build_internet
 from repro.workloads import generate_client_prefixes
-from repro.cdn.deployment import CdnDeployment
+from repro.cdn.deployment import CdnDeployment, traffic_quantile
 
 
 @dataclass(frozen=True)
@@ -110,47 +110,28 @@ def site_count_study(
             base_config, pop_cities=pops, wan_backbone=None, dc_pop_code=dc
         )
         internet = build_internet(config)
-        deployment = CdnDeployment(internet)
         prefixes = generate_client_prefixes(internet, n_prefixes, seed=seed)
+        paths = CdnDeployment(internet).resolve(prefixes, nearby=nearby_k)
         weights = np.array([p.weight for p in prefixes])
-        rtts = np.full(len(prefixes), np.nan)
-        gaps = np.full(len(prefixes), np.nan)
-        suboptimal = np.zeros(len(prefixes), dtype=bool)
-        for i, prefix in enumerate(prefixes):
-            try:
-                path = deployment.anycast_path(prefix)
-            except Exception:
-                continue
-            rtts[i] = 2.0 * path.one_way_ms
-            catchment = internet.wan.nearest_pop(path.ingress_city.location)
-            nearest = min(
-                deployment.front_ends,
-                key=lambda p: (
-                    great_circle_km(prefix.city.location, p.city.location),
-                    p.code,
-                ),
-            )
-            suboptimal[i] = catchment.code != nearest.code
-            best = np.inf
-            for pop in deployment.nearby_front_ends(prefix, nearby_k):
-                unicast = deployment.unicast_path(prefix, pop.code)
-                if unicast is not None:
-                    best = min(best, 2.0 * unicast.one_way_ms)
-            gaps[i] = rtts[i] - best if np.isfinite(best) else 0.0
-        valid = ~np.isnan(rtts)
+        rtts = paths.anycast_rtt_ms
+        gaps = paths.gap_ms()
+        suboptimal = np.array(
+            [c != order[0] for c, order in zip(paths.catchment, paths.front_ends)]
+        )
+        valid = paths.reachable
         if not valid.any():
             raise AnalysisError(f"no client reaches the {count}-site CDN")
         w = weights[valid]
         points.append(
             SitePoint(
                 n_sites=count,
-                median_rtt_ms=_weighted_quantile(rtts[valid], w, 0.5),
-                p90_rtt_ms=_weighted_quantile(rtts[valid], w, 0.9),
+                median_rtt_ms=traffic_quantile(rtts[valid], w, 0.5),
+                p90_rtt_ms=traffic_quantile(rtts[valid], w, 0.9),
                 frac_suboptimal_catchment=float(
                     weights[valid & suboptimal].sum() / w.sum()
                 ),
-                median_gap_ms=_weighted_quantile(gaps[valid], w, 0.5),
-                p90_gap_ms=_weighted_quantile(gaps[valid], w, 0.9),
+                median_gap_ms=traffic_quantile(gaps[valid], w, 0.5),
+                p90_gap_ms=traffic_quantile(gaps[valid], w, 0.9),
             )
         )
     return SiteStudyResult(points=tuple(points))
@@ -182,10 +163,3 @@ def _expansion_order(config: TopologyConfig) -> List[Tuple[str, str]]:
     by_code = {code: (code, name) for code, name in entries}
     return [by_code[code] for code in order]
 
-
-def _weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
-    order = np.argsort(values)
-    cum = np.cumsum(weights[order]) / weights.sum()
-    idx = int(np.searchsorted(cum, q))
-    idx = min(idx, len(values) - 1)
-    return float(values[order][idx])

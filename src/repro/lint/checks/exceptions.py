@@ -1,20 +1,24 @@
-"""EXC001 — exception taxonomy in the recovery-critical packages.
+"""EXC001 — exception taxonomy in the recovery and measurement packages.
 
 ``repro.runner`` and ``repro.faults`` are the layers whose whole job
 is deciding what a failure *means*: retry, quarantine, open the
-breaker, degrade the job.  A broad handler (``except:`` /
-``except Exception``) that silently swallows turns an unknown defect
-into a wrong campaign report.  Broad catches stay legal there in
-exactly two shapes:
+breaker, degrade the job.  The measurement packages (``repro.cdn``,
+``repro.availability``, ``repro.cloudtiers``, ``repro.edgefabric``,
+``repro.netmodel``) decide what counts as data: an unreachable client
+is a :class:`~repro.errors.RoutingError` turned into a mask, never a
+swallowed bug.  A broad handler (``except:`` / ``except Exception``)
+that silently swallows turns an unknown defect into a wrong campaign
+report or a wrong figure.  Broad catches stay legal there in exactly
+two shapes:
 
 * the handler **re-raises** (possibly a typed error chained with
   ``from``), keeping the taxonomy intact, or
 * the handler **counts** what it ate via an ``obs`` counter, so the
   swallow shows up in telemetry instead of vanishing.
 
-Everything else must name the exceptions it expects.  Packages outside
-the two recovery layers are out of scope — analysis code legitimately
-skips unparseable rows without ceremony.
+Everything else must name the exceptions it expects.  Other packages
+are out of scope — analysis code legitimately skips unparseable rows
+without ceremony.
 """
 
 from __future__ import annotations
@@ -26,7 +30,15 @@ from repro.lint.findings import Finding
 from repro.lint.rules import FileContext, Rule, catches_broadly
 
 #: Packages where failure handling is the product, not a nuisance.
-SCOPED_PREFIXES: Tuple[str, ...] = ("repro.runner", "repro.faults")
+SCOPED_PREFIXES: Tuple[str, ...] = (
+    "repro.runner",
+    "repro.faults",
+    "repro.cdn",
+    "repro.availability",
+    "repro.cloudtiers",
+    "repro.edgefabric",
+    "repro.netmodel",
+)
 
 
 def _handler_accounts(handler: ast.ExceptHandler) -> bool:
@@ -44,14 +56,14 @@ def _handler_accounts(handler: ast.ExceptHandler) -> bool:
 
 
 class SwallowedExceptionRule(Rule):
-    """EXC001: broad catches in runner/faults must re-raise or count."""
+    """EXC001: broad catches in the scoped packages must re-raise or count."""
 
     rule_id = "EXC001"
     name = "exception-taxonomy"
     description = (
-        "bare except / except Exception in repro.runner and repro.faults "
-        "must re-raise or increment an obs counter; silent swallows hide "
-        "recovery decisions"
+        "bare except / except Exception in repro.runner, repro.faults and "
+        "the measurement packages must re-raise or increment an obs "
+        "counter; silent swallows hide recovery decisions and bugs"
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[Finding]:

@@ -199,8 +199,8 @@ def trace(
             dest_pop = wan.nearest_pop(dest_city.location)
             ms = wan.one_way_ms(ingress_pop.code, dest_pop.code)
             if ms > 0.0:
-                for a, b in zip(wan.path(ingress_pop.code, dest_pop.code)[:-1],
-                                wan.path(ingress_pop.code, dest_pop.code)[1:]):
+                hops = wan.path(ingress_pop.code, dest_pop.code)
+                for a, b in zip(hops[:-1], hops[1:]):
                     km = great_circle_km(a.city.location, b.city.location)
                     segments.append(
                         Segment(

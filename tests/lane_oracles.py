@@ -23,8 +23,7 @@ import numpy as np
 from repro.bgp import propagation
 from repro.bgp.propagation import RoutingTable
 from repro.bgp.routes import Route, RoutePref
-from repro.cdn import catchment, dns_redirection
-from repro.cdn.deployment import CdnDeployment
+from repro.cdn import dns_redirection
 from repro.cdn.dns_redirection import ANYCAST, RedirectionPolicy
 from repro.cdn.measurement import BeaconDataset
 from repro.cloudtiers import campaign
@@ -33,7 +32,6 @@ from repro.cloudtiers.tiers import Tier
 from repro.edgefabric import episodes, sampler
 from repro.edgefabric.episodes import Episode
 from repro.edgefabric.sampler import MeasurementConfig, MeasurementPlan
-from repro.geo import great_circle_km
 from repro.netmodel import CongestionModel
 from repro.netmodel.rtt import median_min_rtt, median_min_rtt_ci_halfwidth
 from repro.topology import generator
@@ -248,33 +246,6 @@ def _extract_runs_scalar(
     )
 
 
-# --- cdn: catchment geometry ---------------------------------------------
-
-
-def _catchment_geometry_scalar(
-    deployment: CdnDeployment, reached, catchments
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Oracle for ``catchment._catchment_geometry_fast``: per-prefix loops.
-
-    Returns per-prefix (km-to-catchment, misdirected); distances agree
-    with production to round-off.
-    """
-    kms: List[float] = []
-    misdirected: List[bool] = []
-    for prefix, catchment in zip(reached, catchments):
-        km = great_circle_km(prefix.city.location, catchment.city.location)
-        nearest = min(
-            deployment.front_ends,
-            key=lambda p: (
-                great_circle_km(prefix.city.location, p.city.location),
-                p.code,
-            ),
-        )
-        kms.append(km)
-        misdirected.append(nearest.code != catchment.code)
-    return np.asarray(kms), np.asarray(misdirected, dtype=bool)
-
-
 # --- cdn: redirection training -------------------------------------------
 
 
@@ -387,7 +358,6 @@ ORACLES = {
     "propagate": (propagation, "_propagate_fast", _propagate_scalar),
     "synthesize": (sampler, "_synthesize_fast", _synthesize_scalar),
     "episodes": (episodes, "_extract_runs", _extract_runs_scalar),
-    "catchment": (catchment, "_catchment_geometry_fast", _catchment_geometry_scalar),
     "redirection": (dns_redirection, "_train_fast", _train_scalar),
     "campaign": (campaign, "_round_medians", _round_medians_scalar),
     "topology": (generator, "_build_memo", _PassThroughMemo),

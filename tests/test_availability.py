@@ -130,9 +130,7 @@ class TestFailover:
         from collections import Counter
 
         deployment = CdnDeployment(factory())
-        catchments = Counter(
-            deployment.catchment(p).code for p in prefixes
-        )
+        catchments = Counter(deployment.resolve(prefixes).catchment)
         return catchments.most_common(1)[0][0]
 
     def test_anycast_reconverges(self, factory, prefixes, busiest_pop):

@@ -1,10 +1,76 @@
 """Tests for the catchment-map operator view."""
 
+import numpy as np
 import pytest
 
-from repro.errors import AnalysisError
-from repro.cdn import CdnDeployment, catchment_map
+from repro.errors import AnalysisError, RoutingError
+from repro.bgp import Grooming
+from repro.cdn import CatchmentEntry, CatchmentMap, CdnDeployment, catchment_map
+from repro.geo import great_circle_km
 from repro.workloads import generate_client_prefixes
+
+
+def expected_catchment_map(deployment, prefixes) -> CatchmentMap:
+    """:func:`catchment_map` computed one client at a time.
+
+    Each client's anycast trace (a RoutingError means unreachable), the
+    PoP nearest its ingress, the scalar distance to that catchment, and
+    the nearest front-end by ``(km, code)``; then the same traffic
+    weighting production applies.
+    """
+    wan = deployment.internet.wan
+    total = unreachable = misdirected_weight = 0.0
+    per_pop = {}
+    all_km, all_weights = [], []
+    for prefix in prefixes:
+        total += prefix.weight
+        try:
+            path = deployment.anycast_path(prefix)
+        except RoutingError:
+            unreachable += prefix.weight
+            continue
+        catchment = wan.nearest_pop(path.ingress_city.location)
+        nearest = min(
+            deployment.front_ends,
+            key=lambda p: (
+                great_circle_km(prefix.city.location, p.city.location),
+                p.code,
+            ),
+        )
+        km = great_circle_km(prefix.city.location, catchment.city.location)
+        missed = nearest.code != catchment.code
+        per_pop.setdefault(catchment.code, []).append((prefix.weight, km, missed))
+        all_km.append(km)
+        all_weights.append(prefix.weight)
+        if missed:
+            misdirected_weight += prefix.weight
+
+    def quantile(values, weights, q):
+        order = np.argsort(values)
+        cum = np.cumsum(weights[order]) / weights.sum()
+        return float(values[order][min(np.searchsorted(cum, q), len(values) - 1)])
+
+    entries = []
+    for code, rows in per_pop.items():
+        weights, kms, missed = (np.array(column) for column in zip(*rows))
+        entries.append(
+            CatchmentEntry(
+                pop_code=code,
+                traffic_share=float(weights.sum() / total),
+                n_prefixes=len(rows),
+                median_client_km=quantile(kms, weights, 0.5),
+                p90_client_km=quantile(kms, weights, 0.9),
+                frac_misdirected=float(weights[missed].sum() / weights.sum()),
+            )
+        )
+    entries.sort(key=lambda e: (-e.traffic_share, e.pop_code))
+    all_weights = np.array(all_weights)
+    return CatchmentMap(
+        entries=tuple(entries),
+        frac_unreachable=unreachable / total,
+        global_median_km=quantile(np.array(all_km), all_weights, 0.5),
+        global_frac_misdirected=misdirected_weight / all_weights.sum(),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +120,15 @@ class TestCatchmentMap:
         """Misdirected traffic exists iff some entry reports it."""
         any_misdirected = any(e.frac_misdirected > 0 for e in cmap.entries)
         assert (cmap.global_frac_misdirected > 0) == any_misdirected
+
+    def test_unreachable_traffic_matches_per_client(self, small_internet):
+        """With the prefix withheld from every transit, some clients have
+        no route; the map still equals the per-client computation."""
+        grooming = Grooming.ungroomed([p.city for p in small_internet.wan.pops])
+        for asn in small_internet.graph.providers(small_internet.provider_asn):
+            grooming.suppress_neighbor(asn)
+        deployment = CdnDeployment(small_internet, grooming=grooming)
+        prefixes = generate_client_prefixes(small_internet, 60, seed=11)
+        got = catchment_map(deployment, prefixes)
+        assert got.frac_unreachable > 0.0
+        assert got == expected_catchment_map(deployment, prefixes)

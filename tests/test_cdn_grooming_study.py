@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import AnalysisError
-from repro.cdn import groom_iteratively
+from repro.cdn import CdnDeployment, groom_iteratively
+from repro.cdn import grooming_study
 from repro.workloads import generate_client_prefixes
 
 
@@ -51,3 +52,30 @@ class TestGroomingStudy:
         prefixes = generate_client_prefixes(small_internet, 5, seed=13)
         with pytest.raises(AnalysisError):
             groom_iteratively(small_internet, prefixes, max_actions=0)
+
+    def test_each_deployment_built_and_resolved_once(
+        self, small_internet, monkeypatch
+    ):
+        """One deployment per trajectory step, each resolved exactly once
+        and its batch reused for both the step summary and the next
+        grooming decision."""
+        calls = {"built": 0, "resolved": 0}
+
+        class CountingDeployment(CdnDeployment):
+            def __init__(self, *args, **kwargs):
+                calls["built"] += 1
+                super().__init__(*args, **kwargs)
+
+            def resolve(self, *args, **kwargs):
+                calls["resolved"] += 1
+                return super().resolve(*args, **kwargs)
+
+        monkeypatch.setattr(grooming_study, "CdnDeployment", CountingDeployment)
+        prefixes = generate_client_prefixes(small_internet, 60, seed=13)
+        # This small world's gaps are all under 10 ms; a low threshold
+        # makes the loop act.
+        result = groom_iteratively(
+            small_internet, prefixes, max_actions=3, min_gap_ms=1.0
+        )
+        assert len(result.steps) > 1
+        assert calls == {"built": len(result.steps), "resolved": len(result.steps)}

@@ -10,10 +10,13 @@ each pair:
   the same RNG stream positions: propagation, topology generation,
   episode extraction, CDN redirection training, the cloudtiers
   campaign, edgefabric CI half-widths.
-* **Documented tolerance** where production reorders floating-point
-  work (catchment distances: numpy vs ``math`` trig round-off) or
-  batches RNG draws (edgefabric medians: same noise distribution,
-  different draw order — statistics agree, individual samples do not).
+* **Documented tolerance** where production batches RNG draws
+  (edgefabric medians: same noise distribution, different draw order —
+  statistics agree, individual samples do not).
+
+The CDN catchment map has no oracle lane; it is checked, field by field
+and exactly, against the per-client computation in
+``tests/test_cdn_catchment.py``.
 
 The ``streaming=True`` lanes are production lanes of their own and are
 checked against the batch lane the same way.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from lane_oracles import ORACLES, reference
+from test_cdn_catchment import expected_catchment_map
 
 from repro.bgp import propagate, propagate_many
 from repro.cdn import CdnDeployment
@@ -155,32 +159,27 @@ class TestCdnLanes:
     def test_catchment_fractions_agree(
         self, deployment, small_prefixes, seed
     ):
-        """Catchment shares/fractions exact; distances to round-off.
+        """Every catchment field equals the per-client computation.
 
-        The seed perturbs prefix weights through rotation of the list,
-        exercising different per-PoP groupings from one topology.
+        Production reads :meth:`CdnDeployment.resolve` and the same
+        scalar geometry, so distances are exact too.  The seed rotates
+        the prefix list, exercising different per-PoP groupings from one
+        topology.
         """
         rotated = small_prefixes[seed:] + small_prefixes[:seed]
-        with reference("catchment"):
-            slow = catchment_map(deployment, rotated)
+        slow = expected_catchment_map(deployment, rotated)
         fast = catchment_map(deployment, rotated)
         assert fast.frac_unreachable == slow.frac_unreachable
         assert fast.global_frac_misdirected == slow.global_frac_misdirected
-        assert fast.global_median_km == pytest.approx(
-            slow.global_median_km, rel=1e-9
-        )
+        assert fast.global_median_km == slow.global_median_km
         assert len(fast.entries) == len(slow.entries)
         for fe, se in zip(fast.entries, slow.entries):
             assert fe.pop_code == se.pop_code
             assert fe.traffic_share == se.traffic_share
             assert fe.n_prefixes == se.n_prefixes
             assert fe.frac_misdirected == se.frac_misdirected
-            assert fe.median_client_km == pytest.approx(
-                se.median_client_km, rel=1e-9
-            )
-            assert fe.p90_client_km == pytest.approx(
-                se.p90_client_km, rel=1e-9
-            )
+            assert fe.median_client_km == se.median_client_km
+            assert fe.p90_client_km == se.p90_client_km
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_redirection_policy_bit_identical(

@@ -532,6 +532,20 @@ class TestExceptionTaxonomy:
         )
         assert rules_of(findings) == set()
 
+    def test_silent_swallow_in_measurement_package_flagged(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """
+            def catchment_of(deployment, prefix):
+                try:
+                    return deployment.anycast_path(prefix)
+                except Exception:
+                    return None
+            """,
+            rel="src/repro/cdn/lookup.py",
+        )
+        assert "EXC001" in rules_of(findings)
+
     def test_outside_scoped_packages_exempt(self, tmp_path):
         findings = lint_snippet(
             tmp_path,

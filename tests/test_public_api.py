@@ -73,6 +73,7 @@ PUBLIC_API = {
     ],
     "repro.cdn": [
         "CdnDeployment",
+        "ClientPaths",
         "run_beacon_campaign",
         "train_redirection_policy",
         "train_hybrid_policy",
