@@ -122,7 +122,8 @@ def _load_lane_oracles():
     return module
 
 
-_reference = _load_lane_oracles().reference
+_oracles = _load_lane_oracles()
+_reference = _oracles.reference
 
 
 def _on_reference(name: str, fn):
@@ -242,7 +243,11 @@ def bench_edgefabric_episodes(internet, tier: str, repeats: int):
 
 
 def bench_event_delay(tier: str, repeats: int):
-    """The congestion event kernel under the measurement lanes."""
+    """The congestion delay kernel vs the per-event oracle loop.
+
+    Both lanes read drawn events: the oracle gets each key's event list
+    up front, production its cached step tables.
+    """
     config = CongestionConfig(horizon_hours=240.0, event_rate_per_day=1.0)
     model = CongestionModel(0, config)
     times = np.linspace(0.0, 240.0, 96)
@@ -251,11 +256,12 @@ def bench_event_delay(tier: str, repeats: int):
     for scale in _scales_for(tier):
         n = sizes[scale]
         keys = [f"bench:{i}" for i in range(n)]
-        model.event_delay_batch(keys, times)  # warm event + flat caches
+        model.event_delay_batch(keys, times)  # build the step tables
+        intervals = [model.events(key) for key in keys]
 
         def scalar():
-            for key in keys:
-                model.event_delay(key, times)
+            for events in intervals:
+                _oracles.interval_delay_scalar(events, times)
 
         entries.append(
             _measure(

@@ -189,27 +189,31 @@ def run_beacon_campaign(
         last_mile = float(rng.uniform(lo, hi))
         shared = (
             last_mile
-            + congestion.shared_delay(f"dest:{prefix.pid}", prefix.city.location.lon, t)
+            + congestion.shared_delay_batch(
+                [f"dest:{prefix.pid}"], [prefix.city.location.lon], t
+            )[0]
             + rng.exponential(cfg.rtt_noise_ms, size=n_r)
         )
-        any_key = f"cdnpath:{prefix.pid}->anycast"
+        # Delay rows: the anycast path, then the reachable front-ends in
+        # column order.
+        cols = np.flatnonzero(~np.isnan(base_uni[i]))
+        keys = [f"cdnpath:{prefix.pid}->anycast"]
+        keys += [f"cdnpath:{prefix.pid}->{fe_codes[i][j]}" for j in cols]
+        link = congestion.event_delay_batch(keys, t)
+        shift = congestion.shift_delay_batch(keys, t)
         anycast_rtt[i] = (
             base_any[i]
             + shared
-            + congestion.link_delay(any_key, t)
-            + congestion.baseline_shift_delay(any_key, t)
+            + link[0]
+            + shift[0]
             + rng.exponential(cfg.rtt_noise_ms, size=n_r)
         )
-        for j, code in enumerate(fe_codes[i]):
-            base = base_uni[i, j]
-            if np.isnan(base):
-                continue
-            uni_key = f"cdnpath:{prefix.pid}->{code}"
+        for row, j in enumerate(cols, start=1):
             unicast_rtt[i, :, j] = (
-                base
+                base_uni[i, j]
                 + shared
-                + congestion.link_delay(uni_key, t)
-                + congestion.baseline_shift_delay(uni_key, t)
+                + link[row]
+                + shift[row]
                 + rng.exponential(cfg.rtt_noise_ms, size=n_r)
             )
     if cfg.drain is not None:

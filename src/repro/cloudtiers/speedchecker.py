@@ -237,19 +237,21 @@ class SpeedcheckerPlatform:
             self._last_mile[vp.vp_id] = float(rng.uniform(2.0, 12.0))
         return self._last_mile[vp.vp_id]
 
-    def _rtt_samples(
-        self, vp: VantagePoint, tier: Tier, time_h: float, count: int
+    def _samples(
+        self, vp: VantagePoint, tier: Tier, times: np.ndarray
     ) -> Optional[np.ndarray]:
+        """One RTT sample per time; ``None`` (no noise drawn) if unrouted."""
         path = self._path(vp, tier)
         if path is None:
             return None
-        times = np.full(count, time_h)
         base = 2.0 * path.one_way_ms + self._vp_last_mile(vp)
-        shared = self._congestion.shared_delay(
-            f"vp:{vp.vp_id}", vp.city.location.lon, times
-        )
-        route = self._congestion.link_delay(f"tierpath:{vp.vp_id}:{tier.value}", times)
-        noise = self._rng.exponential(1.2, size=count)
+        shared = self._congestion.shared_delay_batch(
+            [f"vp:{vp.vp_id}"], [vp.city.location.lon], times
+        )[0]
+        route = self._congestion.event_delay_batch(
+            [f"tierpath:{vp.vp_id}:{tier.value}"], times
+        )[0]
+        noise = self._rng.exponential(1.2, size=times.size)
         return base + shared + route + noise
 
     # --- public API -----------------------------------------------------------
@@ -266,7 +268,7 @@ class SpeedcheckerPlatform:
         if count < 1:
             raise MeasurementError("ping count must be >= 1")
         self._spend(PING_CREDITS * count)
-        samples = self._rtt_samples(vp, tier, time_h, count)
+        samples = self._samples(vp, tier, np.full(count, time_h))
         if samples is None:
             return None
         return PingResult(
@@ -292,7 +294,8 @@ class SpeedcheckerPlatform:
         round order), so every sample is bit-identical to theirs.
         Returns ``None`` if the VP has no route to the
         VM — credits are spent, and no noise is drawn, matching the
-        per-round behaviour.
+        per-round behaviour.  Round times must be ascending (the
+        congestion kernel evaluates sorted grids).
         """
         if count < 1:
             raise MeasurementError("ping count must be >= 1")
@@ -300,19 +303,10 @@ class SpeedcheckerPlatform:
         if times.size == 0:
             raise MeasurementError("need at least one round time")
         self._spend(PING_CREDITS * count * times.size)
-        path = self._path(vp, tier)
-        if path is None:
+        samples = self._samples(vp, tier, np.repeat(times, count))
+        if samples is None:
             return None
-        full = np.repeat(times, count)
-        base = 2.0 * path.one_way_ms + self._vp_last_mile(vp)
-        shared = self._congestion.shared_delay(
-            f"vp:{vp.vp_id}", vp.city.location.lon, full
-        )
-        route = self._congestion.link_delay(
-            f"tierpath:{vp.vp_id}:{tier.value}", full
-        )
-        noise = self._rng.exponential(1.2, size=full.size)
-        return (base + shared + route + noise).reshape(times.size, count)
+        return samples.reshape(times.size, count)
 
     def http_get(
         self,
@@ -331,7 +325,7 @@ class SpeedcheckerPlatform:
         if size_mb <= 0:
             raise MeasurementError("size must be positive")
         self._spend(HTTP_GET_CREDITS)
-        samples = self._rtt_samples(vp, tier, time_h, 3)
+        samples = self._samples(vp, tier, np.full(3, time_h))
         if samples is None:
             return None
         from repro.netmodel.tcp import TcpPath, transfer_time_s

@@ -341,7 +341,7 @@ def _synthesize_fast(
     # One flat slot per sprayed (pair, route); congestion keys deduped so
     # each entity's event series is materialized exactly once.
     slots = plan.slots()
-    link_delays = congestion.link_delay_batch(list(slots.keys), times)
+    link_delays = congestion.event_delay_batch(list(slots.keys), times)
 
     pi = slots.pair_of
     ri = slots.route_of

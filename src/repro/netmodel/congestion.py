@@ -16,6 +16,13 @@ infers from the Facebook data:
 
 Every entity key gets its own deterministic random stream derived from
 ``(seed, crc32(key))``, so adding entities never perturbs existing ones.
+
+A third interval process, slow **baseline shifts**, models interdomain
+path churn.  Events and shifts share one exact kernel: each key's
+intervals become a step table, and the delay at time *t* is the sum of
+the magnitudes of the intervals active at *t*, added in start order
+from 0.0.  It depends only on ``(seed, key, t)``, never on the rest of
+the query grid.
 """
 
 from __future__ import annotations
@@ -64,6 +71,21 @@ class CongestionConfig:
             raise MeasurementError("event duration must be positive")
 
 
+#: The baseline-shift process: rate per day, mean duration (hours),
+#: median magnitude (ms) and log-scale spread of magnitudes.
+_SHIFT_PROCESS = (0.12, 48.0, 8.0, 0.7)
+
+#: One key's step table: ascending breakpoints ``b`` and the delays
+#: ``v`` with ``v[0] = 0.0`` before ``b[0]`` and ``v[i + 1]`` on
+#: ``[b[i], b[i + 1])``.
+_Table = Tuple[np.ndarray, np.ndarray]
+
+
+def _as_tuples(columns: Tuple[np.ndarray, ...]) -> List[Tuple[float, float, float]]:
+    """Interval columns as a list of ``(start_h, duration_h, extra_ms)``."""
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 class CongestionModel:
     """Deterministic congestion delay series for named entities.
 
@@ -75,249 +97,183 @@ class CongestionModel:
     def __init__(self, seed: int, config: CongestionConfig) -> None:
         self.seed = seed
         self.config = config
-        self._event_cache: Dict[str, List[Tuple[float, float, float]]] = {}
-        self._flat_cache: Dict[tuple, tuple] = {}
-        self._diurnal_cache: Dict[tuple, np.ndarray] = {}
+        # kind ("events" or "shifts") -> key -> step table.
+        self._tables: Dict[str, Dict[str, _Table]] = {"events": {}, "shifts": {}}
 
     def _rng(self, key: str) -> np.random.Generator:
         return np.random.default_rng(
             [self.seed & 0xFFFFFFFF, zlib.crc32(key.encode("utf-8"))]
         )
 
-    # --- transient events -------------------------------------------------
+    # --- interval processes -------------------------------------------------
+
+    def _intervals(
+        self, kind: str, key: str
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One key's ``(start_h, duration_h, extra_ms)`` columns, sorted.
+
+        ``kind`` is ``"events"`` (the transient process of the config) or
+        ``"shifts"`` (:data:`_SHIFT_PROCESS`).  One array draw per
+        attribute, in a fixed order, from the key's own stream.
+        """
+        cfg = self.config
+        if kind == "events":
+            rate, mean_duration, median_ms, sigma = (
+                cfg.event_rate_per_day,
+                cfg.event_mean_duration_hours,
+                cfg.event_magnitude_median_ms,
+                cfg.event_magnitude_sigma,
+            )
+        else:
+            rate, mean_duration, median_ms, sigma = _SHIFT_PROCESS
+        rng = self._rng(f"{kind}:{key}")
+        count = int(rng.poisson(rate * cfg.horizon_hours / 24.0))
+        starts = rng.uniform(0.0, cfg.horizon_hours, size=count)
+        durations = rng.exponential(mean_duration, size=count)
+        magnitudes = median_ms * np.exp(rng.normal(0.0, sigma, size=count))
+        order = np.lexsort((magnitudes, durations, starts))
+        return starts[order], durations[order], magnitudes[order]
 
     def events(self, key: str) -> List[Tuple[float, float, float]]:
         """Transient events for an entity: (start_h, duration_h, extra_ms).
 
-        Generated lazily and cached; identical for identical (seed, key).
+        Sorted by start; identical for identical (seed, key).
         """
-        cached = self._event_cache.get(key)
-        if cached is not None:
-            return cached
-        cfg = self.config
-        rng = self._rng("events:" + key)
-        expected = cfg.event_rate_per_day * cfg.horizon_hours / 24.0
-        count = int(rng.poisson(expected))
-        # Batched draws: one array call per attribute instead of three
-        # scalar calls per event.  This is the entity-generation half of
-        # the vectorized measurement lanes — with thousands of entities
-        # the per-event Python loop used to dominate synthesis time.
-        starts = rng.uniform(0.0, cfg.horizon_hours, size=count)
-        durations = rng.exponential(cfg.event_mean_duration_hours, size=count)
-        magnitudes = cfg.event_magnitude_median_ms * np.exp(
-            rng.normal(0.0, cfg.event_magnitude_sigma, size=count)
-        )
-        events = sorted(
-            zip(starts.tolist(), durations.tolist(), magnitudes.tolist())
-        )
-        self._event_cache[key] = events
-        counter("netmodel.congestion.entities")
-        counter("netmodel.congestion.events", len(events))
-        return events
+        return _as_tuples(self._intervals("events", key))
 
-    def event_delay(self, key: str, times_h: np.ndarray) -> np.ndarray:
-        """Extra delay (ms) from transient events at each time, vectorized."""
+    def baseline_shifts(self, key: str) -> List[Tuple[float, float, float]]:
+        """Slow level shifts for a path: (start_h, duration_h, extra_ms).
+
+        Models interdomain path churn: a route changes and stays changed
+        for days, unlike the transient queueing events.  This is what
+        makes measurement-driven predictions go stale (the Figure 4
+        scheme measures first and redirects later).
+        """
+        return _as_tuples(self._intervals("shifts", key))
+
+    # --- the delay kernel ---------------------------------------------------
+
+    def _build(self, kind: str, keys: List[str]) -> None:
+        """Cache the step tables of ``keys`` (all new), in one pass."""
+        draws = [self._intervals(kind, key) for key in keys]
+        counts = np.array([starts.size for starts, _, _ in draws], dtype=np.intp)
+        if kind == "events":
+            counter("netmodel.congestion.entities", len(keys))
+            counter("netmodel.congestion.events", int(counts.sum()))
+        starts, durations, magnitudes = (
+            np.concatenate(column) for column in zip(*draws)
+        )
+        # Breakpoints: each key's starts and ends, ascending.  A repeated
+        # value leaves an empty segment, which no time reads.
+        owner = np.repeat(np.arange(len(keys)), counts)
+        edges = np.concatenate([starts, starts + durations])
+        order = np.lexsort((edges, np.concatenate([owner, owner])))
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.size)
+        # Interval i is active on segments first[i] .. stop[i] - 1.
+        # bincount adds its weights in input order, so each segment sums
+        # its intervals in start order from 0.0, as the definition says.
+        first, stop = slot[: starts.size], slot[starts.size :]
+        span = stop - first
+        offset = np.repeat(first - (np.cumsum(span) - span), span)
+        values = np.bincount(
+            np.arange(offset.size) + offset,
+            weights=np.repeat(magnitudes, span),
+            minlength=edges.size,
+        )
+        bounds = np.zeros(len(keys) + 1, dtype=np.intp)
+        np.cumsum(2 * counts, out=bounds[1:])
+        values = np.insert(values, bounds[:-1], 0.0)  # v[0] of each table
+        breakpoints = edges[order]
+        tables = self._tables[kind]
+        for i, key in enumerate(keys):
+            lo, hi = bounds[i], bounds[i + 1]
+            tables[key] = (breakpoints[lo:hi], values[lo + i : hi + i + 1])
+
+    def _delay(self, kind: str, keys: Sequence[str], times_h: np.ndarray) -> np.ndarray:
+        """Delay of ``kind`` intervals for each key on a sorted grid."""
         times = np.asarray(times_h, dtype=float)
-        delay = np.zeros_like(times)
-        for start, duration, magnitude in self.events(key):
-            active = (times >= start) & (times < start + duration)
-            if active.any():
-                delay[active] += magnitude
-        return delay
+        if times.size == 0 or not len(keys):
+            return np.zeros((len(keys), times.size))
+        if times.size > 1 and np.any(np.diff(times) < 0):
+            raise MeasurementError(f"{kind} delay needs sorted times")
+        tables = self._tables[kind]
+        fresh = [key for key in keys if key not in tables]
+        if fresh:
+            self._build(kind, list(dict.fromkeys(fresh)))
+        rows = [tables[key] for key in keys]
+        sizes = np.fromiter((b.size for b, _ in rows), np.intp, len(rows))
+        breakpoints = np.concatenate([b for b, _ in rows])
+        values = np.concatenate([v for _, v in rows])
+        # Count each row's breakpoints at or before every grid time; the
+        # count is the row's index into its own value table.
+        width = times.size + 1
+        cells = np.repeat(np.arange(len(rows)) * width, sizes)
+        cells += np.searchsorted(times, breakpoints, side="left")
+        index = np.bincount(cells, minlength=len(rows) * width)
+        index = index.reshape(len(rows), width)
+        np.cumsum(index, axis=1, out=index)
+        index = index[:, :-1]
+        index += (np.cumsum(sizes + 1) - (sizes + 1))[:, None]
+        return values[index]
 
     def event_delay_batch(
         self, keys: Sequence[str], times_h: np.ndarray
     ) -> np.ndarray:
-        """Event delay for many entities at once, shape ``(len(keys), T)``.
+        """Transient-event delay (ms) for many entities, ``(len(keys), T)``.
 
-        The batched kernel behind the vectorized measurement lanes: all
-        events of all keys are located on the (sorted, shared) time grid
-        with one ``searchsorted``, scattered into a per-row difference
-        array, and integrated with one ``cumsum`` — no per-key Python.
-
-        Rows agree with :meth:`event_delay` per key up to floating-point
-        summation order (overlapping events accumulate via the running
-        sum here, sequentially there); differences are at the 1e-12
-        relative level.
+        Entry ``[i, j]`` is the sum of the magnitudes of ``keys[i]``'s
+        events active at ``times_h[j]`` (``start <= t < start +
+        duration``), added in start order from 0.0.  Each key's step
+        table is built once per model; evaluation is one
+        ``searchsorted``/``bincount``/``cumsum`` gather over the grid.
 
         Raises:
-            MeasurementError: if ``times_h`` is not sorted ascending —
-                the interval arithmetic requires a monotone grid.
+            MeasurementError: if ``times_h`` is not sorted ascending.
         """
-        times = np.asarray(times_h, dtype=float)
-        delay = np.zeros((len(keys), times.size))
-        if times.size == 0 or not len(keys):
-            return delay
-        if times.size > 1 and np.any(np.diff(times) < 0):
-            raise MeasurementError("event_delay_batch needs sorted times")
-        # The flattened event arrays depend only on the key set, not the
-        # time grid; repeated synthesis over the same entities (lane
-        # comparisons, parameter sweeps) hits this cache.
-        token = tuple(keys)
-        flat = self._flat_cache.get(token)
-        if flat is None:
-            rows: List[int] = []
-            starts: List[float] = []
-            ends: List[float] = []
-            magnitudes: List[float] = []
-            for row, key in enumerate(keys):
-                for start, duration, magnitude in self.events(key):
-                    rows.append(row)
-                    starts.append(start)
-                    ends.append(start + duration)
-                    magnitudes.append(magnitude)
-            flat = (
-                np.asarray(rows, dtype=np.intp),
-                np.asarray(starts),
-                np.asarray(ends),
-                np.asarray(magnitudes),
-            )
-            self._flat_cache[token] = flat
-        row_idx, starts_arr, ends_arr, mags_arr = flat
-        if row_idx.size == 0:
-            return delay
-        # active = (t >= start) & (t < end)  <=>  index in [lo, hi)
-        lo = np.searchsorted(times, starts_arr, side="left")
-        hi = np.searchsorted(times, ends_arr, side="left")
-        live = lo < hi
-        if not live.any():
-            return delay
-        mags = mags_arr[live]
-        diff = np.zeros((len(keys), times.size + 1))
-        np.add.at(diff, (row_idx[live], lo[live]), mags)
-        np.add.at(diff, (row_idx[live], hi[live]), -mags)
-        np.cumsum(diff, axis=1, out=diff)
-        return diff[:, : times.size]
+        return self._delay("events", keys, times_h)
+
+    def shift_delay_batch(
+        self, keys: Sequence[str], times_h: np.ndarray
+    ) -> np.ndarray:
+        """Baseline-shift delay (ms) for many paths, ``(len(keys), T)``.
+
+        The :meth:`event_delay_batch` kernel over :meth:`baseline_shifts`.
+        """
+        return self._delay("shifts", keys, times_h)
 
     # --- diurnal load -------------------------------------------------------
 
-    def diurnal_delay(
-        self, times_h: np.ndarray, lon: float, peak_ms: float = -1.0
-    ) -> np.ndarray:
-        """Daily-cycle delay (ms) at each time for a given longitude.
+    def diurnal_delay_batch(self, times_h: np.ndarray, lons: np.ndarray) -> np.ndarray:
+        """Daily-cycle delay for many longitudes, shape ``(len(lons), T)``.
 
         The cycle peaks at ``diurnal_peak_hour`` *local* time; longitude
         sets the timezone (15° per hour).
         """
         cfg = self.config
-        if peak_ms < 0:
-            peak_ms = cfg.diurnal_peak_ms
         times = np.asarray(times_h, dtype=float)
-        local = (times + lon / 15.0) % 24.0
+        lons_arr = np.asarray(lons, dtype=float)
+        local = (times[None, :] + lons_arr[:, None] / 15.0) % 24.0
         phase = 2.0 * np.pi * (local - cfg.diurnal_peak_hour) / 24.0
         # Raised-cosine bump, cubed to concentrate delay around the peak.
         # Explicit multiplication: numpy lowers ``** 3`` to the generic
         # pow loop, an order of magnitude slower on big grids.
         bump = (1.0 + np.cos(phase)) / 2.0
-        return peak_ms * bump * bump * bump
-
-    def diurnal_delay_batch(
-        self, times_h: np.ndarray, lons: np.ndarray, peak_ms: float = -1.0
-    ) -> np.ndarray:
-        """Daily-cycle delay for many longitudes, shape ``(len(lons), T)``.
-
-        Broadcasts the exact :meth:`diurnal_delay` formula; per-row
-        values are bit-identical to the scalar method.  The matrix is
-        deterministic in ``(times, lons, peak_ms)`` and dominated by the
-        trig evaluation, so it is cached per argument signature —
-        repeated synthesis over one grid (lane comparisons, multi-seed
-        sweeps) pays for the cosines once.  The returned array is
-        marked read-only; callers needing to mutate must copy.
-        """
-        cfg = self.config
-        if peak_ms < 0:
-            peak_ms = cfg.diurnal_peak_ms
-        times = np.asarray(times_h, dtype=float)
-        lons_arr = np.asarray(lons, dtype=float)
-        token = (times.tobytes(), lons_arr.tobytes(), peak_ms)
-        cached = self._diurnal_cache.get(token)
-        if cached is not None:
-            return cached
-        local = (times[None, :] + lons_arr[:, None] / 15.0) % 24.0
-        phase = 2.0 * np.pi * (local - cfg.diurnal_peak_hour) / 24.0
-        bump = (1.0 + np.cos(phase)) / 2.0
-        result = peak_ms * bump * bump * bump
-        result.setflags(write=False)
-        self._diurnal_cache[token] = result
-        return result
+        return cfg.diurnal_peak_ms * bump * bump * bump
 
     # --- composites ---------------------------------------------------------
-
-    def shared_delay(
-        self, key: str, lon: float, times_h: np.ndarray
-    ) -> np.ndarray:
-        """Destination-side delay shared by all routes to an entity.
-
-        Diurnal load at the entity's longitude plus the entity's own
-        transient events (e.g. a congested access network).
-        """
-        return self.diurnal_delay(times_h, lon) + self.event_delay(key, times_h)
-
-    def link_delay(self, key: str, times_h: np.ndarray) -> np.ndarray:
-        """Route-specific delay from one interdomain link's events."""
-        return self.event_delay(key, times_h)
 
     def shared_delay_batch(
         self, keys: Sequence[str], lons: np.ndarray, times_h: np.ndarray
     ) -> np.ndarray:
         """Destination-side delay for many entities, ``(len(keys), T)``.
 
-        Row *i* agrees with ``shared_delay(keys[i], lons[i], times_h)``
-        up to the batched event kernel's summation-order tolerance.
+        Diurnal load at each entity's longitude plus the entity's own
+        transient events (e.g. a congested access network) — the part
+        shared by all routes to it.
         """
         if len(keys) != len(np.asarray(lons, dtype=float)):
             raise MeasurementError("keys and lons must be index-aligned")
         return self.diurnal_delay_batch(times_h, lons) + self.event_delay_batch(
             keys, times_h
         )
-
-    def link_delay_batch(
-        self, keys: Sequence[str], times_h: np.ndarray
-    ) -> np.ndarray:
-        """Route-specific delay for many links at once, ``(len(keys), T)``."""
-        return self.event_delay_batch(keys, times_h)
-
-    # --- slow baseline shifts (interdomain path churn) ---------------------
-
-    def baseline_shifts(
-        self,
-        key: str,
-        shift_rate_per_day: float = 0.12,
-        mean_duration_hours: float = 48.0,
-        magnitude_median_ms: float = 8.0,
-        magnitude_sigma: float = 0.7,
-    ) -> List[Tuple[float, float, float]]:
-        """Slow level shifts for a path: (start_h, duration_h, extra_ms).
-
-        Models interdomain path churn: a route changes and stays changed
-        for days, unlike the transient queueing events above.  This is
-        what makes measurement-driven predictions go stale (the Figure 4
-        scheme measures first and redirects later).
-        """
-        cache_key = f"shiftseries:{key}"
-        cached = self._event_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        rng = self._rng("shifts:" + key)
-        expected = shift_rate_per_day * self.config.horizon_hours / 24.0
-        count = int(rng.poisson(expected))
-        starts = rng.uniform(0.0, self.config.horizon_hours, size=count)
-        durations = rng.exponential(mean_duration_hours, size=count)
-        magnitudes = magnitude_median_ms * np.exp(
-            rng.normal(0.0, magnitude_sigma, size=count)
-        )
-        shifts = sorted(
-            zip(starts.tolist(), durations.tolist(), magnitudes.tolist())
-        )
-        self._event_cache[cache_key] = shifts
-        return shifts
-
-    def baseline_shift_delay(self, key: str, times_h: np.ndarray) -> np.ndarray:
-        """Extra delay (ms) from baseline shifts at each time."""
-        times = np.asarray(times_h, dtype=float)
-        delay = np.zeros_like(times)
-        for start, duration, magnitude in self.baseline_shifts(key):
-            active = (times >= start) & (times < start + duration)
-            if active.any():
-                delay[active] += magnitude
-        return delay

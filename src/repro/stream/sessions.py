@@ -96,7 +96,7 @@ def stream_sessions(
     # calls — chunks slice columns out of these, so the floors are
     # bit-identical for every chunk_windows setting.
     shared_full = dest_congestion.shared_delay_batch(dest_keys, lons, times)
-    link_full = congestion.link_delay_batch(list(slots.keys), times)
+    link_full = congestion.event_delay_batch(list(slots.keys), times)
 
     for w0 in range(0, times.size, chunk_windows):
         t_chunk = times[w0 : w0 + chunk_windows]

@@ -6,7 +6,9 @@ test oracle: a drop-in with the private production kernel's signature.
 :func:`reference` swaps an oracle into its production module for the
 duration of a block, so the public entry point runs end to end on the
 reference kernel; ``tests/test_lane_agreement.py`` compares that against
-production under the contracts in ``docs/performance.md``.
+production under the contracts in ``docs/performance.md``.  The
+congestion-delay oracle is not swapped in: tests call it next to
+``CongestionModel``'s kernel, and ``_synthesize_scalar`` uses it.
 
 ``benchmarks/perf.py`` times the same oracles, loading this module by
 file path, so it imports only numpy and :mod:`repro`.
@@ -131,6 +133,32 @@ def _offer_key(route: Route) -> Tuple[int, int]:
     return (route.advertised_length, route.next_hop)
 
 
+# --- netmodel: congestion delay ------------------------------------------
+
+
+def interval_delay_scalar(intervals, times_h: np.ndarray) -> np.ndarray:
+    """Oracle for ``CongestionModel``'s delay kernel: the per-event loop.
+
+    ``intervals`` is ``model.events(key)`` or ``model.baseline_shifts(key)``;
+    each active interval's magnitude is added in start order from 0.0.
+    """
+    times = np.asarray(times_h, dtype=float)
+    delay = np.zeros_like(times)
+    for start, duration, magnitude in intervals:
+        active = (times >= start) & (times < start + duration)
+        if active.any():
+            delay[active] += magnitude
+    return delay
+
+
+def shared_delay_scalar(
+    model: CongestionModel, key: str, lon: float, times_h: np.ndarray
+) -> np.ndarray:
+    """Oracle for one row of ``CongestionModel.shared_delay_batch``."""
+    diurnal = model.diurnal_delay_batch(times_h, [lon])[0]
+    return diurnal + interval_delay_scalar(model.events(key), times_h)
+
+
 # --- edgefabric: synthesis ----------------------------------------------
 
 
@@ -155,8 +183,8 @@ def _synthesize_scalar(
     for i, pair in enumerate(pairs):
         prefix = pair.prefix
         last_mile = float(rng.uniform(lo, hi))
-        shared = dest_congestion.shared_delay(
-            f"dest:{prefix.pid}", prefix.city.location.lon, times
+        shared = shared_delay_scalar(
+            dest_congestion, f"dest:{prefix.pid}", prefix.city.location.lon, times
         )
         n = sessions[i]
         sd = cfg.min_rtt_noise_ms / np.sqrt(n)
@@ -165,8 +193,10 @@ def _synthesize_scalar(
         halfwidth = median_min_rtt_ci_halfwidth(cfg.min_rtt_noise_ms, 1) / np.sqrt(n)
         for j, route in enumerate(pair.routes):
             base = 2.0 * route.base_one_way_ms + last_mile
-            specific = congestion.link_delay(route.link_key, times)
-            specific = specific + congestion.link_delay(route.interior_key, times)
+            specific = interval_delay_scalar(congestion.events(route.link_key), times)
+            specific = specific + interval_delay_scalar(
+                congestion.events(route.interior_key), times
+            )
             floor = base + shared + specific
             medians[i, :, j] = median_min_rtt(
                 floor, cfg.min_rtt_noise_ms

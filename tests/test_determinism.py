@@ -3,12 +3,15 @@
 Every other test runs inside one interpreter, so a seed derived from
 per-process state — Python's salted string ``hash()`` is the classic
 case — cannot show up there.  These tests run the same study in fresh
-subprocesses under different ``PYTHONHASHSEED`` values and compare
+subprocesses under different ``PYTHONHASHSEED`` values, and through a
+campaign runner with one and with two worker processes, and compare
 digests of the canonical-JSON summaries.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -16,18 +19,21 @@ from pathlib import Path
 
 import pytest
 
+import repro.core.study as study
+from repro.runner import CampaignRunner, JobSpec
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Small studies, each an expression constructing it in a script that
-#: has imported :mod:`repro.core.study` as ``study``.
+#: Small studies: the :mod:`repro.core.study` class name and its
+#: keyword arguments besides ``seed``.
 STUDIES = {
     # Setting C seeds each vantage point's last-mile stream from its id.
-    "setting_c": "study.CloudTiersStudy(seed=0, days=2, vps_per_day=40)",
+    "setting_c": ("CloudTiersStudy", {"days": 2, "vps_per_day": 40}),
     # Setting B resolves every client's paths in one batch and draws
     # beacon noise in client order.
     "setting_b": (
-        "study.AnycastCdnStudy(seed=0, n_prefixes=40, days=1.0, "
-        "requests_per_prefix=20)"
+        "AnycastCdnStudy",
+        {"n_prefixes": 40, "days": 1.0, "requests_per_prefix": 20},
     ),
 }
 
@@ -39,20 +45,27 @@ import json
 
 import repro.core.study as study
 
-summary = {study}.run().summary
+summary = study.{cls}(seed=0, **{kwargs!r}).run().summary
 canonical = json.dumps(summary, sort_keys=True, separators=(",", ":"))
 print(hashlib.sha256(canonical.encode("utf-8")).hexdigest())
 """
 
 
+def _digest(summary) -> str:
+    """The digest ``_SUMMARY_DIGEST`` prints, computed in-process."""
+    canonical = json.dumps(summary, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def _digest_under_hash_seed(name: str, hash_seed: str) -> str:
+    cls, kwargs = STUDIES[name]
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     done = subprocess.run(
-        [sys.executable, "-c", _SUMMARY_DIGEST.format(study=STUDIES[name])],
+        [sys.executable, "-c", _SUMMARY_DIGEST.format(cls=cls, kwargs=kwargs)],
         env=env,
         capture_output=True,
         text=True,
@@ -70,3 +83,19 @@ def test_summary_independent_of_hash_seed(name):
     second = _digest_under_hash_seed(name, "7")
     assert len(first) == 64
     assert first == second
+
+
+@pytest.mark.parametrize("name", sorted(STUDIES))
+def test_summary_independent_of_worker_count(name):
+    """Inline jobs and a two-worker pool give the same summaries."""
+    cls, kwargs = STUDIES[name]
+    specs = [
+        JobSpec.from_study(getattr(study, cls)(seed=seed, **kwargs))
+        for seed in (0, 1)
+    ]
+    inline = CampaignRunner(jobs=1).run(specs)
+    pooled = CampaignRunner(jobs=2).run(specs)
+    digests = [_digest(result.summary) for result in inline.results]
+    assert [_digest(result.summary) for result in pooled.results] == digests
+    assert pooled.n_ran == len(specs)
+    assert digests[0] != digests[1]

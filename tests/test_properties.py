@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from lane_oracles import interval_delay_scalar
 
 from repro.analysis import weighted_cdf, weighted_quantile
 from repro.geo import GeoPoint, great_circle_km, propagation_one_way_ms
@@ -136,6 +137,32 @@ class TestCongestionProperties:
     def test_diurnal_nonnegative_everywhere(self, lon):
         model = CongestionModel(0, CongestionConfig(horizon_hours=24.0))
         times = np.linspace(0.0, 24.0, 97)
-        delay = model.diurnal_delay(times, lon)
+        delay = model.diurnal_delay_batch(times, [lon])[0]
         assert (delay >= 0.0).all()
         assert (delay <= model.config.diurnal_peak_ms + 1e-9).all()
+
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.lists(
+            st.floats(min_value=-2.0, max_value=50.0, allow_nan=False),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_delay_kernel_is_the_event_sum(self, seed, times):
+        # Frequent long events, so most grids see overlaps.
+        cfg = CongestionConfig(
+            horizon_hours=48.0, event_rate_per_day=12.0, event_mean_duration_hours=4.0
+        )
+        model = CongestionModel(seed, cfg)
+        grid = np.sort(np.asarray(times))
+        keys = ["a", "b", "a"]
+        events = model.event_delay_batch(keys, grid)
+        shifts = model.shift_delay_batch(keys, grid)
+        for row, key in enumerate(keys):
+            expected = interval_delay_scalar(model.events(key), grid)
+            assert np.array_equal(events[row], expected)
+            expected = interval_delay_scalar(model.baseline_shifts(key), grid)
+            assert np.array_equal(shifts[row], expected)
+        assert (events >= 0.0).all() and (shifts >= 0.0).all()
